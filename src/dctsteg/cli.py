@@ -2,7 +2,8 @@
 
 stdout carries machine-parseable key=value lines; diagnostics go to stderr.
 Exit codes: 0 success, 2 payload too large, 3 I/O or input format error,
-4 input is not a (valid) stego artifact.
+4 input is not a (valid) stego artifact, 5 a spatial8 render kept residual
+bit errors (no artifact is written).
 """
 
 import argparse
@@ -11,7 +12,7 @@ import sys
 
 import numpy as np
 
-from . import engine, framing, huffman
+from . import engine, framing
 from .errors import BadMagic, PayloadTooLarge, StegError
 from .image_io import Image8, read_pgm, write_pgm
 from .metrics import psnr
@@ -77,6 +78,12 @@ def cmd_embed(args):
             frame = framing.build_frame(data)
         _note(args, f"frame of {frame.bit_length} bits into {cover.width}x{cover.height} cover")
         stego, report = engine.embed(cover, frame, args.mode)
+        if report.spatial_mode_bit_errors:
+            return _fail(
+                5,
+                f"spatial8 render kept {report.spatial_mode_bit_errors} residual bit "
+                f"errors; no artifact written",
+            )
         if args.mode == "container":
             _write_file(args.out, stego.to_bytes())
         else:
@@ -141,15 +148,7 @@ def cmd_psnr(args):
 
 def cmd_inspect(args):
     try:
-        stego = _load_stego(args.input)
-        if isinstance(stego, engine.StegoContainer):
-            coeffs = stego.coeffs
-        else:
-            from . import blockdct
-
-            coeffs = blockdct.quantize(blockdct.forward_dct(blockdct.partition(stego)))
-        bits = huffman.Bitstream(engine.get_lsb(coeffs).reshape(-1).astype(np.uint8))
-        header, table, payload = framing.parse_frame(bits)
+        header, table, _ = engine.read_frame(_load_stego(args.input))
         symbols = int(np.count_nonzero(table.code_lengths))
         print(
             f"magic=0x{header.magic:04x} version={header.version} "

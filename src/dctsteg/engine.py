@@ -123,23 +123,62 @@ def capacity(width, height):
     return max(0, width * height - FRAME_OVERHEAD_BITS)
 
 
-def _render_blocks(coeffs):
-    """Integer coefficient blocks to 8-bit pixel values (still float dtype)."""
-    samples = blockdct.inverse_dct(blockdct.dequantize(coeffs))
+def _samples(coeffs):
+    """Integer coefficient blocks to real pixel-domain samples, before rounding."""
+    return blockdct.inverse_dct(blockdct.dequantize(coeffs))
+
+
+def _to_pixels(samples):
+    """Round and clamp real samples to 8-bit pixel values (still float dtype)."""
     return np.clip(round_half_away(samples), 0.0, 255.0)
 
 
-def _recovered_lsb_mismatch(cands, bits):
-    """Render candidate blocks, re-transform, and compare LSBs against bits.
+def _render_blocks(coeffs):
+    """Integer coefficient blocks to 8-bit pixel values (still float dtype)."""
+    return _to_pixels(_samples(coeffs))
+
+
+def _lsb_mismatch(pixels, bits):
+    """Re-transform rendered pixel blocks and compare their LSBs against bits.
 
     Every parity decision in the library flows through this one batched code
     path: reordering float operations can flip a coefficient sitting on a
     rounding boundary, so verify and extract must share the same pipeline.
-    Returns (mismatch masks (k,8,8), pixels (k,8,8) float).
+    Returns mismatch masks (k,8,8).
     """
-    pixels = _render_blocks(cands)
     recovered = blockdct.quantize(blockdct.forward_dct(pixels))
-    return get_lsb(recovered) != bits[None, :, :], pixels
+    return get_lsb(recovered) != bits[None, :, :]
+
+
+# _BASIS[i] is the inverse-DCT image of a unit coefficient i, flattened
+_BASIS = blockdct.inverse_dct(np.eye(BLOCK * BLOCK).reshape(-1, BLOCK, BLOCK)).reshape(
+    BLOCK * BLOCK, BLOCK * BLOCK
+)
+_TIE_EPS = 1e-6  # samples this close to a .5 rounding tie take the full render
+
+
+def _candidate_pixels(cur, samples, offenders, rows):
+    """Pixels of cur nudged by each pattern row on the offender slots, (k,8,8).
+
+    Samples are cur's own samples plus the nudged basis images, one small
+    product instead of an inverse DCT per candidate. That sum differs from
+    the full render by float noise, which only matters where a sample sits
+    on a .5 rounding tie; candidates with such a sample are re-rendered
+    through _render_blocks, so every pixel equals the full render's.
+    """
+    values = samples.reshape(1, -1) + rows @ _BASIS[offenders]
+    pixels = _to_pixels(values).reshape(-1, BLOCK, BLOCK)
+    ties = np.flatnonzero((np.abs(values - np.floor(values) - 0.5) < _TIE_EPS).any(axis=1))
+    if ties.size:
+        pixels[ties] = _render_blocks(_nudged(cur, offenders, rows[ties]))
+    return pixels
+
+
+def _nudged(cur, offenders, rows):
+    """Coefficient blocks cur + each row on the offender slots, (k,8,8)."""
+    cands = np.repeat(cur.reshape(1, -1), len(rows), axis=0)
+    cands[:, offenders] += rows
+    return cands.reshape(-1, BLOCK, BLOCK)
 
 
 _POOL_COEFFS = 7  # offenders enumerated per round (3^7 - 1 = 2186 patterns)
@@ -151,13 +190,20 @@ _PATTERNS = {}
 
 
 def _sign_patterns(n):
-    """All nonzero {0, +2, -2} rows over n slots, sparsest first, capped."""
+    """All nonzero {0, +2, -2} rows over n slots, sparsest first, capped.
+
+    Returns (rows, tiers): tiers are the (start, stop) row ranges that share
+    one nonzero count, in pool order.
+    """
     if n not in _PATTERNS:
         k = np.arange(1, 3 ** n)
         digits = (k[:, None] // 3 ** np.arange(n)) % 3
         values = np.where(digits == 0, 0, np.where(digits == 1, 2, -2)).astype(np.int64)
-        order = np.argsort((digits != 0).sum(axis=1), kind="stable")
-        _PATTERNS[n] = values[order][:_POOL_CAP]
+        nonzero = (digits != 0).sum(axis=1)
+        order = np.argsort(nonzero, kind="stable")
+        rows = values[order][:_POOL_CAP]
+        stops = [*np.flatnonzero(np.diff(nonzero[order][:_POOL_CAP])) + 1, len(rows)]
+        _PATTERNS[n] = rows, list(zip([0, *stops[:-1]], stops))
     return _PATTERNS[n]
 
 
@@ -166,21 +212,32 @@ def verify_adjust_block(coeffs, bits):
 
     coeffs must already carry bits in its LSBs. Pixel rounding re-rolls the
     recovered parity of all 64 coefficients at once, so there is no way to
-    repair one coefficient in isolation; instead each round batch-renders
+    repair one coefficient in isolation; instead each round renders
     candidate +-2 nudges of the currently offending coefficients (LSBs are
-    preserved by even steps) and commits the sparsest clean candidate. When
-    no candidate is clean the search re-anchors on an unseen candidate whose
-    own offender set is wide, keeping later rounds' candidate pools large.
-    At most 16 rounds; returns (pixels, residual_errors) with failures
-    reported rather than raised.
+    preserved by even steps) and commits the sparsest clean candidate. The
+    pool is verified one nonzero-count tier at a time, sparsest first, and
+    stops at the first tier holding a clean candidate. When no candidate is
+    clean the search re-anchors on an unseen candidate whose own offender
+    set is wide, keeping later rounds' candidate pools large. At most 16
+    rounds; returns (pixels, residual_errors) with failures reported rather
+    than raised.
+
+    Candidates are rendered incrementally from the current block's samples
+    (see _candidate_pixels). Only the render side takes that shortcut: a
+    coefficient near a rounding tie (a DC term is the block sum / 8, so
+    about one block in eight) recovers whichever way float noise in the
+    forward path sends it, so verify re-transforms the pixels through the
+    same forward DCT and quantize that extract uses. The render side must
+    still equal the full render, hence the tie guard.
     """
     cur = np.asarray(coeffs, dtype=np.int64).reshape(BLOCK, BLOCK).copy()
     bits = np.asarray(bits, dtype=np.int64).reshape(BLOCK, BLOCK)
     seen = {cur.tobytes()}
     best_pixels = None
     best_residual = BLOCK * BLOCK + 1
-    masks, pixels = _recovered_lsb_mismatch(cur[None], bits)
-    mask, pix = masks[0], pixels[0]
+    samples = _samples(cur)
+    pix = _to_pixels(samples)
+    mask = _lsb_mismatch(pix[None], bits)[0]
     for round_no in range(_MAX_ROUNDS + 1):
         wrong = int(mask.sum())
         if wrong < best_residual:
@@ -189,32 +246,33 @@ def verify_adjust_block(coeffs, bits):
         if wrong == 0 or round_no == _MAX_ROUNDS:
             break
         offenders = np.flatnonzero(mask.ravel())[:_POOL_COEFFS]
-        rows = _sign_patterns(len(offenders))
-        pool = np.zeros((len(rows), BLOCK * BLOCK), dtype=np.int64)
-        pool[:, offenders] = rows
-        cands = (cur.reshape(-1)[None, :] + pool).reshape(-1, BLOCK, BLOCK)
-        masks, pixels = _recovered_lsb_mismatch(cands, bits)
-        counts = masks.sum(axis=(1, 2))
-        clean = np.flatnonzero(counts == 0)
-        if clean.size:
-            best_residual = 0
-            best_pixels = pixels[clean[0]]
-            break
-        chosen = None
-        for k in np.flatnonzero(counts >= _MIN_FANOUT):
-            if cands[k].tobytes() not in seen:
-                chosen = int(k)
+        rows, tiers = _sign_patterns(len(offenders))
+        pixels = np.empty((len(rows), BLOCK, BLOCK))
+        masks = np.empty((len(rows), BLOCK, BLOCK), dtype=bool)
+        clean = None
+        for start, stop in tiers:
+            pixels[start:stop] = _candidate_pixels(cur, samples, offenders, rows[start:stop])
+            masks[start:stop] = _lsb_mismatch(pixels[start:stop], bits)
+            hits = np.flatnonzero(~masks[start:stop].any(axis=(1, 2)))
+            if hits.size:
+                clean = start + int(hits[0])
                 break
-        if chosen is None:
-            for k in np.argsort(-counts, kind="stable"):
-                if cands[int(k)].tobytes() not in seen:
-                    chosen = int(k)
-                    break
-        if chosen is None:
+        if clean is not None:
+            best_residual = 0
+            best_pixels = pixels[clean]
             break
-        cur = cands[chosen]
+        counts = masks.sum(axis=(1, 2))
+        wide_first = (np.flatnonzero(counts >= _MIN_FANOUT), np.argsort(-counts, kind="stable"))
+        for k in np.concatenate(wide_first):
+            cand = _nudged(cur, offenders, rows[k : k + 1])[0]
+            if cand.tobytes() not in seen:
+                break
+        else:
+            break  # every candidate was an anchor already
+        cur = cand
         seen.add(cur.tobytes())
-        mask, pix = masks[chosen], pixels[chosen]
+        mask, pix = masks[k], pixels[k]
+        samples = _samples(cur)
     return best_pixels.astype(np.uint8), best_residual
 
 
@@ -266,14 +324,21 @@ def render(container):
     return Image8(pixels.astype(np.uint8))
 
 
-def extract(stego):
-    """Recover (secret bytes, header) from a container or an 8-bit stego image."""
+def read_frame(stego):
+    """Parse the frame a container or an 8-bit stego image carries.
+
+    The one frame-reading path: coefficients, their LSBs, then the frame.
+    Returns (header, table, payload bits).
+    """
     if isinstance(stego, StegoContainer):
         coeffs = stego.coeffs
     else:
-        blocks = blockdct.partition(stego)
-        coeffs = blockdct.quantize(blockdct.forward_dct(blocks))
+        coeffs = blockdct.quantize(blockdct.forward_dct(blockdct.partition(stego)))
     bits = huffman.Bitstream(get_lsb(coeffs).reshape(-1).astype(np.uint8))
-    header, table, payload = framing.parse_frame(bits)
-    secret = huffman.decode(payload, table, header.symbol_count)
-    return secret, header
+    return framing.parse_frame(bits)
+
+
+def extract(stego):
+    """Recover (secret bytes, header) from a container or an 8-bit stego image."""
+    header, table, payload = read_frame(stego)
+    return huffman.decode(payload, table, header.symbol_count), header

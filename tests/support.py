@@ -142,3 +142,74 @@ def shannon_entropy(data):
     counts = np.bincount(np.frombuffer(bytes(data), dtype=np.uint8), minlength=256)
     p = counts[counts > 0] / len(data)
     return float(-(p * np.log2(p)).sum())
+
+
+
+def _reference_mismatch(cands, bits):
+    from dctsteg.blockdct import dequantize, forward_dct, inverse_dct, quantize, round_half_away
+
+    pixels = np.clip(round_half_away(inverse_dct(dequantize(cands))), 0.0, 255.0)
+    recovered = quantize(forward_dct(pixels))
+    return (recovered & 1) != bits[None, :, :], pixels
+
+
+def _reference_patterns(n, cap=2048):
+    k = np.arange(1, 3 ** n)
+    digits = (k[:, None] // 3 ** np.arange(n)) % 3
+    values = np.where(digits == 0, 0, np.where(digits == 1, 2, -2)).astype(np.int64)
+    order = np.argsort((digits != 0).sum(axis=1), kind="stable")
+    return values[order][:cap]
+
+
+def reference_verify_adjust_block(coeffs, bits):
+    """Full-render verify/adjust search, the oracle for the library's search.
+
+    A transcription of the original search: each round renders the whole
+    capped pool of +-2 nudges through the full inverse DCT, verifies it in
+    one batch, and commits the first clean candidate, else re-anchors. The
+    library's incremental, tiered search must return the same
+    (pixels, residual).
+    """
+    pool_coeffs, min_fanout, max_rounds = 7, 7, 16
+    cur = np.asarray(coeffs, dtype=np.int64).reshape(8, 8).copy()
+    bits = np.asarray(bits, dtype=np.int64).reshape(8, 8)
+    seen = {cur.tobytes()}
+    best_pixels = None
+    best_residual = 65
+    masks, pixels = _reference_mismatch(cur[None], bits)
+    mask, pix = masks[0], pixels[0]
+    for round_no in range(max_rounds + 1):
+        wrong = int(mask.sum())
+        if wrong < best_residual:
+            best_residual = wrong
+            best_pixels = pix
+        if wrong == 0 or round_no == max_rounds:
+            break
+        offenders = np.flatnonzero(mask.ravel())[:pool_coeffs]
+        rows = _reference_patterns(len(offenders))
+        pool = np.zeros((len(rows), 64), dtype=np.int64)
+        pool[:, offenders] = rows
+        cands = (cur.reshape(-1)[None, :] + pool).reshape(-1, 8, 8)
+        masks, pixels = _reference_mismatch(cands, bits)
+        counts = masks.sum(axis=(1, 2))
+        clean = np.flatnonzero(counts == 0)
+        if clean.size:
+            best_residual = 0
+            best_pixels = pixels[clean[0]]
+            break
+        chosen = None
+        for k in np.flatnonzero(counts >= min_fanout):
+            if cands[k].tobytes() not in seen:
+                chosen = int(k)
+                break
+        if chosen is None:
+            for k in np.argsort(-counts, kind="stable"):
+                if cands[int(k)].tobytes() not in seen:
+                    chosen = int(k)
+                    break
+        if chosen is None:
+            break
+        cur = cands[chosen]
+        seen.add(cur.tobytes())
+        mask, pix = masks[chosen], pixels[chosen]
+    return best_pixels.astype(np.uint8), best_residual

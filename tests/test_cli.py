@@ -111,6 +111,28 @@ def test_embed_spatial_mode_round_trip(capsys, tmp_path, cover_path):
     assert code == 0
     assert recovered.read_bytes() == payload
 
+    code, out, _ = run_cli(capsys, "inspect", "--in", out_path)
+    assert code == 0
+    assert parse_kv(out)["symbol_count"] == str(len(payload))
+
+
+def test_embed_spatial_residual_errors_exit_5(capsys, tmp_path):
+    # clamping at 255 undoes the +-2 nudges, so no render carries the bits
+    cover = tmp_path / "white.pgm"
+    cover.write_bytes(write_pgm(Image8(np.full((64, 64), 255, dtype=np.uint8))))
+    secret = tmp_path / "secret.bin"
+    secret.write_bytes(bytes(np.random.default_rng(5).integers(0, 256, 120, dtype=np.uint8)))
+    out_path = tmp_path / "stego.pgm"
+    code, out, err = run_cli(
+        capsys,
+        "embed", "--cover", cover, "--secret", secret,
+        "--mode", "spatial8", "--out", out_path,
+    )
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: ") and "residual bit errors" in err
+    assert not out_path.exists()
+
 
 def test_embed_payload_too_large_exit_2(capsys, tmp_path):
     tiny = tmp_path / "tiny.pgm"

@@ -30,7 +30,8 @@ from dctsteg.errors import (
     PayloadTooLarge,
     Truncated,
 )
-from support import natural_cover
+from dctsteg import engine
+from support import natural_cover, reference_verify_adjust_block
 
 
 def test_lsb_examples():
@@ -196,6 +197,65 @@ def test_verify_adjust_converges_on_noise_blocks():
         assert np.array_equal(recovered, bits)
         worst_mse = max(worst_mse, float(((pixels - block) ** 2).mean()))
     assert worst_mse < 16.0  # adjusted render stays near the cover block
+
+
+def _same_as_reference(coeffs, bits):
+    pixels, residual = verify_adjust_block(coeffs, bits)
+    ref_pixels, ref_residual = reference_verify_adjust_block(coeffs, bits)
+    return residual == ref_residual and np.array_equal(pixels, ref_pixels)
+
+
+def _flat_coeffs(value):
+    return quantize(forward_dct(np.full((8, 8), float(value))))
+
+
+def test_verify_adjust_matches_full_render_reference():
+    rng = np.random.default_rng(21)
+    cases = []
+    for _ in range(40):  # noise blocks, the common repair case
+        cases.append(quantize(forward_dct(rng.integers(96, 161, (8, 8)).astype(np.float64))))
+    cases += [_flat_coeffs(128)] * 40  # mid-gray constant blocks
+    cases += [_flat_coeffs(0)] * 4 + [_flat_coeffs(255)] * 4  # clamped: 16 rounds each
+    for _ in range(40):  # flat blocks on DC = 4 (mod 8): every sample a .5 tie
+        flat = np.zeros((8, 8), dtype=np.int64)
+        flat[0, 0] = 8 * int(rng.integers(1, 255)) + 4
+        cases.append(flat)
+    mismatched = []
+    for index, coeffs in enumerate(cases):
+        bits = rng.integers(0, 2, (8, 8)).astype(np.int64)
+        if index >= len(cases) - 40:
+            bits[0, 0] = 0  # keep the DC on its tie
+        if not _same_as_reference(set_lsb(coeffs, bits), bits):
+            mismatched.append(index)
+    assert mismatched == []
+
+
+def test_candidate_render_equals_full_render_on_dc_ties():
+    # DC-only blocks nudged by +-2 onto DC = 4 (mod 8): every sample of the
+    # candidate lands on a .5 tie, where the incremental sum and the full
+    # inverse DCT can round apart unless the tie guard re-renders them.
+    rows = np.array([[2], [-2]], dtype=np.int64)
+    offenders = np.array([0])
+    differing = 0
+    for dc in range(4, 2040, 8):
+        for start in (dc - 2, dc + 2):
+            cur = np.zeros((8, 8), dtype=np.int64)
+            cur[0, 0] = start
+            fast = engine._candidate_pixels(cur, engine._samples(cur), offenders, rows)
+            full = engine._render_blocks(engine._nudged(cur, offenders, rows))
+            differing += not np.array_equal(fast, full)
+    assert differing == 0
+
+
+def test_sign_pattern_tiers_partition_the_pool_by_nonzero_count():
+    for n in range(1, 8):
+        rows, tiers = engine._sign_patterns(n)
+        assert tiers[0][0] == 0 and tiers[-1][1] == len(rows) <= 2048
+        for (_, stop), (start, _) in zip(tiers, tiers[1:]):
+            assert stop == start
+        nonzero = [set((rows[a:b] != 0).sum(axis=1).tolist()) for a, b in tiers]
+        assert all(len(counts) == 1 for counts in nonzero)
+        assert [c.pop() for c in nonzero] == list(range(1, len(tiers) + 1))
 
 
 def test_spatial_embed_extract_round_trip():
