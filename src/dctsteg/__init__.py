@@ -1,88 +1,32 @@
-"""Steganography in the LSBs of 8x8 block-DCT coefficients of grayscale images."""
+"""Steganography in the LSBs of 8x8 block-DCT coefficients of grayscale images.
+
+This is the surface the README and the CLI use. Internals (the block DCT,
+Huffman coding, frame parsing, verify/adjust) are imported from their
+modules: dctsteg.blockdct, dctsteg.huffman, dctsteg.framing, dctsteg.engine.
+"""
 
 from . import errors
-from .blockdct import (
-    BLOCK,
-    assemble,
-    dequantize,
-    forward_dct,
-    inverse_dct,
-    partition,
-    quantize,
-    round_half_away,
-)
-from .engine import (
-    EmbedReport,
-    StegoContainer,
-    capacity,
-    embed,
-    extract,
-    get_lsb,
-    render,
-    set_lsb,
-    verify_adjust_block,
-)
-from .framing import (
-    KIND_BYTES,
-    KIND_IMAGE,
-    PayloadFrame,
-    PayloadHeader,
-    build_frame,
-    chunk_bits,
-    parse_frame,
-)
-from .huffman import (
-    Bitstream,
-    HuffmanTable,
-    build_table,
-    decode,
-    encode,
-    parse_table,
-    serialize_table,
-)
+from .engine import EmbedReport, StegoContainer, capacity, embed, extract, render
+from .framing import KIND_BYTES, KIND_IMAGE, build_frame
 from .image_io import Image8, Image16, read_pgm, write_pgm
-from .metrics import QualityScore, mse, psnr
+from .metrics import psnr
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BLOCK",
-    "Bitstream",
     "EmbedReport",
-    "HuffmanTable",
     "Image16",
     "Image8",
     "KIND_BYTES",
     "KIND_IMAGE",
-    "PayloadFrame",
-    "PayloadHeader",
-    "QualityScore",
     "StegoContainer",
-    "assemble",
     "build_frame",
-    "build_table",
     "capacity",
-    "chunk_bits",
-    "decode",
-    "dequantize",
     "embed",
-    "encode",
     "errors",
     "extract",
-    "forward_dct",
-    "get_lsb",
-    "inverse_dct",
-    "mse",
-    "parse_frame",
-    "parse_table",
-    "partition",
     "psnr",
-    "quantize",
     "read_pgm",
     "render",
-    "round_half_away",
-    "serialize_table",
-    "set_lsb",
-    "verify_adjust_block",
     "write_pgm",
 ]

@@ -78,10 +78,10 @@ def cmd_embed(args):
             frame = framing.build_frame(data)
         _note(args, f"frame of {frame.bit_length} bits into {cover.width}x{cover.height} cover")
         stego, report = engine.embed(cover, frame, args.mode)
-        if report.spatial_mode_bit_errors:
+        if report.residual_bit_errors:
             return _fail(
                 5,
-                f"spatial8 render kept {report.spatial_mode_bit_errors} residual bit "
+                f"spatial8 render kept {report.residual_bit_errors} residual bit "
                 f"errors; no artifact written",
             )
         if args.mode == "container":
@@ -91,7 +91,7 @@ def cmd_embed(args):
         print(
             f"mode={args.mode} blocks_used={report.blocks_used} "
             f"payload_bits={report.payload_bits} psnr_db={_fmt_db(report.psnr_db)} "
-            f"residual_bit_errors={report.spatial_mode_bit_errors}"
+            f"residual_bit_errors={report.residual_bit_errors}"
         )
         return 0
     except PayloadTooLarge as exc:

@@ -99,7 +99,7 @@ class EmbedReport:
     blocks_used: int
     payload_bits: int
     psnr_db: float
-    spatial_mode_bit_errors: int
+    residual_bit_errors: int
 
 
 def set_lsb(c, b):

@@ -82,7 +82,11 @@ class Bitstream:
 class HuffmanTable:
     """Canonical prefix code over the 256 byte symbols, held as code lengths.
 
-    code_lengths[s] == 0 means symbol s has no codeword.
+    code_lengths[s] == 0 means symbol s has no codeword. Codewords go to the
+    symbols in (length, symbol) order; symbols lists that order. For each
+    length l up to max_length, count[l] codewords have length l, the first
+    of them is first_code[l], and it belongs to symbols[first_index[l]].
+    Codes are Python ints because a parsed table may carry 255-bit codes.
     """
 
     def __init__(self, code_lengths):
@@ -92,28 +96,20 @@ class HuffmanTable:
         if lengths.min() < 0 or lengths.max() > 255:
             raise ValueError("code lengths must be in [0, 255]")
         self.code_lengths = lengths
-        self._build_codes()
-
-    def _build_codes(self):
-        # canonical assignment: walk symbols in (length, symbol) order
-        order = sorted(
-            (int(l), s) for s, l in enumerate(self.code_lengths.tolist()) if l > 0
-        )
+        self.max_length = int(lengths.max())
+        order = np.argsort(lengths, kind="stable")
+        self.symbols = order[lengths[order] > 0].tolist()
+        self.count = np.bincount(lengths, minlength=self.max_length + 1).tolist()
+        self.count[0] = 0
+        self.first_code = [0] * (self.max_length + 1)
+        self.first_index = [0] * (self.max_length + 1)
+        for l in range(1, self.max_length + 1):
+            self.first_code[l] = (self.first_code[l - 1] + self.count[l - 1]) << 1
+            self.first_index[l] = self.first_index[l - 1] + self.count[l - 1]
         self.codewords = {}  # symbol -> (code value, length)
-        self._first_code = {}  # length -> first canonical code of that length
-        self._first_index = {}  # length -> index into _order of that first code
-        self._order = [s for _, s in order]
-        code = 0
-        prev_len = order[0][0] if order else 0
-        for idx, (length, symbol) in enumerate(order):
-            code <<= length - prev_len
-            if length not in self._first_code:
-                self._first_code[length] = code
-                self._first_index[length] = idx
-            self.codewords[symbol] = (code, length)
-            code += 1
-            prev_len = length
-        self.max_length = order[-1][0] if order else 0
+        for idx, symbol in enumerate(self.symbols):
+            l = int(lengths[symbol])
+            self.codewords[symbol] = (self.first_code[l] + idx - self.first_index[l], l)
 
     def bit_string(self, symbol):
         """Codeword of symbol as a '0'/'1' string."""
@@ -180,14 +176,13 @@ def decode(bits, table, symbol_count):
     """Decode exactly symbol_count symbols from a canonical-code bitstream."""
     if symbol_count == 0:
         return b""
-    if not table.codewords:
+    if not table.symbols:
         raise InvalidCode("empty table cannot decode symbols")
-    first_code = table._first_code
-    first_index = table._first_index
-    order = table._order
-    counts = {}
-    for _, length in table.codewords.values():
-        counts[length] = counts.get(length, 0) + 1
+    # A prefix that matched no shorter codeword is at least first_code[length],
+    # so it is a codeword exactly when it is below first_code + count.
+    limit = [f + n for f, n in zip(table.first_code, table.count)]
+    base = [i - f for i, f in zip(table.first_index, table.first_code)]
+    symbols = table.symbols
     max_length = table.max_length
     out = bytearray()
     code = 0
@@ -195,17 +190,13 @@ def decode(bits, table, symbol_count):
     for bit in bits.bits.tolist():
         code = (code << 1) | bit
         length += 1
-        n = counts.get(length)
-        if n is not None:
-            offset = code - first_code[length]
-            if 0 <= offset < n:
-                out.append(order[first_index[length] + offset])
-                if len(out) == symbol_count:
-                    return bytes(out)
-                code = 0
-                length = 0
-                continue
-        if length >= max_length:
+        if code < limit[length]:
+            out.append(symbols[code + base[length]])
+            if len(out) == symbol_count:
+                return bytes(out)
+            code = 0
+            length = 0
+        elif length >= max_length:
             raise InvalidCode(f"no codeword matches prefix of length {length}")
     raise TruncatedStream(
         f"stream ended after {len(out)} of {symbol_count} symbols"

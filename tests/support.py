@@ -92,6 +92,24 @@ def min_prefix_cost(freqs):
     return best
 
 
+def reference_canonical_codes(lengths):
+    """symbol -> (code, length), assigned by walking (length, symbol) order.
+
+    Each next code is the previous one plus one, shifted left by the growth
+    in length: the textbook canonical assignment.
+    """
+    order = sorted((int(l), s) for s, l in enumerate(lengths) if l > 0)
+    codes = {}
+    code = 0
+    prev_len = order[0][0] if order else 0
+    for length, symbol in order:
+        code <<= length - prev_len
+        codes[symbol] = (code, length)
+        code += 1
+        prev_len = length
+    return codes
+
+
 def _bilinear(coarse, height, width):
     ys = np.linspace(0, coarse.shape[0] - 1, height)
     xs = np.linspace(0, coarse.shape[1] - 1, width)

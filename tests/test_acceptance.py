@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 import dctsteg as d
-from dctsteg import Image8, write_pgm
+from dctsteg import Image8, blockdct, engine, huffman, write_pgm
 from support import (
     literal_forward,
     literal_inverse,
@@ -164,13 +164,13 @@ def test_criterion_4_dct_conformance(capsys):
     assert tensor_err < 1e-12
 
     blocks = rng.uniform(0.0, 255.0, (10000, 8, 8))
-    fwd = d.forward_dct(blocks)
+    fwd = blockdct.forward_dct(blocks)
     fwd_err = float(np.abs(fwd - oracle_forward_many(blocks)).max())
     coeff_blocks = rng.uniform(-1024.0, 1024.0, (10000, 8, 8))
     inv_err = float(
-        np.abs(d.inverse_dct(coeff_blocks) - oracle_inverse_many(coeff_blocks)).max()
+        np.abs(blockdct.inverse_dct(coeff_blocks) - oracle_inverse_many(coeff_blocks)).max()
     )
-    rt_err = float(np.abs(d.inverse_dct(fwd) - blocks).max())
+    rt_err = float(np.abs(blockdct.inverse_dct(fwd) - blocks).max())
     e_spatial = (blocks * blocks).sum(axis=(1, 2))
     e_coeff = (fwd * fwd).sum(axis=(1, 2))
     parseval_rel = float((np.abs(e_spatial - e_coeff) / e_spatial).max())
@@ -192,7 +192,7 @@ def test_criterion_5_huffman_optimality(capsys):
     for m in range(1, 6):
         for counts in itertools.combinations_with_replacement(range(1, 7), m):
             data = b"".join(bytes([s]) * c for s, c in enumerate(counts))
-            table = d.build_table(data)
+            table = huffman.build_table(data)
             cost = sum(
                 counts[s] * length for s, (_, length) in table.codewords.items()
             )
@@ -205,8 +205,8 @@ def test_criterion_5_huffman_optimality(capsys):
         n = int(rng.integers(1, 500))
         alphabet = int(rng.integers(2, 257))
         data = rng.integers(0, alphabet, n).astype(np.uint8).tobytes()
-        table = d.build_table(data)
-        if d.parse_table(d.serialize_table(table)) != table:
+        table = huffman.build_table(data)
+        if huffman.parse_table(huffman.serialize_table(table)) != table:
             rt_failures += 1
     ok = mismatches == 0 and rt_failures == 0
     detail = (
@@ -222,16 +222,16 @@ def test_criterion_6_spatial_integrity(capsys):
     for _ in range(1000):
         block = rng.integers(96, 161, (8, 8)).astype(np.float64)
         bits = rng.integers(0, 2, (8, 8)).astype(np.int64)
-        coeffs = d.set_lsb(d.quantize(d.forward_dct(block)), bits)
-        _, residual = d.verify_adjust_block(coeffs, bits)
+        coeffs = engine.set_lsb(blockdct.quantize(blockdct.forward_dct(block)), bits)
+        _, residual = engine.verify_adjust_block(coeffs, bits)
         if residual:
             noise_failures += 1
 
     const_failures = 0
-    flat_coeffs = d.quantize(d.forward_dct(np.full((8, 8), 128.0)))
+    flat_coeffs = blockdct.quantize(blockdct.forward_dct(np.full((8, 8), 128.0)))
     for _ in range(10000):
         bits = rng.integers(0, 2, (8, 8)).astype(np.int64)
-        _, residual = d.verify_adjust_block(d.set_lsb(flat_coeffs, bits), bits)
+        _, residual = engine.verify_adjust_block(engine.set_lsb(flat_coeffs, bits), bits)
         if residual:
             const_failures += 1
 

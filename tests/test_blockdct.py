@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dctsteg import (
-    Image8,
+from dctsteg import Image8
+from dctsteg.blockdct import (
     assemble,
     dequantize,
     forward_dct,

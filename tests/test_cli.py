@@ -2,9 +2,15 @@
 
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dctsteg import Image8, read_pgm, write_pgm
 from dctsteg.cli import entry
@@ -132,6 +138,49 @@ def test_embed_spatial_residual_errors_exit_5(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error: ") and "residual bit errors" in err
     assert not out_path.exists()
+
+
+def edge_cover(kind, seed):
+    """64x64 cover that clamps at 0 or 255, or spans the full 8-bit range."""
+    rng = np.random.default_rng(seed)
+    if kind == "all-0":
+        return np.zeros((64, 64), dtype=np.uint8)
+    if kind == "all-255":
+        return np.full((64, 64), 255, dtype=np.uint8)
+    if kind == "binary":
+        return (rng.integers(0, 2, (64, 64)) * 255).astype(np.uint8)
+    if kind == "noise":
+        return rng.integers(0, 256, (64, 64)).astype(np.uint8)
+    img = natural_cover(64, 64, seed).astype(np.float64)
+    img = (img - img.min()) * 255.0 / (img.max() - img.min())
+    return np.rint(img).astype(np.uint8)
+
+
+@given(
+    st.sampled_from(["all-0", "all-255", "binary", "noise", "stretched"]),
+    st.integers(0, 2**16),
+    st.binary(min_size=1, max_size=32),
+)
+@settings(max_examples=8, deadline=None)
+def test_spatial8_on_edge_covers_round_trips_or_exits_5(kind, seed, payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        cover, secret = Path(tmp, "cover.pgm"), Path(tmp, "secret.bin")
+        stego, recovered = Path(tmp, "stego.pgm"), Path(tmp, "recovered.bin")
+        cover.write_bytes(write_pgm(Image8(edge_cover(kind, seed))))
+        secret.write_bytes(payload)
+        out = StringIO()
+        with redirect_stdout(out), redirect_stderr(StringIO()):
+            code = entry(["embed", "--cover", str(cover), "--secret", str(secret),
+                          "--mode", "spatial8", "--out", str(stego)])
+        if code == 5:
+            assert out.getvalue() == ""
+            assert not stego.exists()
+            return
+        assert code == 0
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+            code = entry(["extract", "--in", str(stego), "--out", str(recovered)])
+        assert code == 0
+        assert recovered.read_bytes() == payload
 
 
 def test_embed_payload_too_large_exit_2(capsys, tmp_path):

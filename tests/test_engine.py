@@ -6,23 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dctsteg import (
-    Bitstream,
     Image8,
-    PayloadFrame,
-    PayloadHeader,
     StegoContainer,
     build_frame,
     capacity,
     embed,
     extract,
-    forward_dct,
-    get_lsb,
-    partition,
-    quantize,
     render,
-    set_lsb,
-    verify_adjust_block,
 )
+from dctsteg.blockdct import forward_dct, partition, quantize
+from dctsteg.engine import get_lsb, set_lsb, verify_adjust_block
+from dctsteg.framing import PayloadFrame, PayloadHeader
+from dctsteg.huffman import Bitstream
 from dctsteg.errors import (
     BadHeader,
     BadMagic,
@@ -79,7 +74,7 @@ def test_container_round_trip_through_bytes():
     secret = bytes(np.random.default_rng(2).integers(0, 256, 100, dtype=np.uint8))
     container, report = embed(cover, build_frame(secret))
     assert report.blocks_used == build_frame(secret).bit_length // 64
-    assert report.spatial_mode_bit_errors == 0
+    assert report.residual_bit_errors == 0
     assert 30.0 < report.psnr_db < 70.0
     reloaded = StegoContainer.from_bytes(container.to_bytes())
     assert reloaded == container
@@ -263,7 +258,7 @@ def test_spatial_embed_extract_round_trip():
     secret = bytes(np.random.default_rng(8).integers(0, 256, 60, dtype=np.uint8))
     stego, report = embed(cover, build_frame(secret), mode="spatial8")
     assert isinstance(stego, Image8)
-    assert report.spatial_mode_bit_errors == 0
+    assert report.residual_bit_errors == 0
     recovered, header = extract(stego)
     assert recovered == secret
     assert header.symbol_count == 60

@@ -7,16 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dctsteg import (
-    Bitstream,
-    KIND_BYTES,
-    KIND_IMAGE,
-    PayloadHeader,
-    build_frame,
-    chunk_bits,
-    decode,
-    parse_frame,
-)
+from dctsteg import KIND_BYTES, KIND_IMAGE, build_frame
+from dctsteg.framing import PayloadHeader, chunk_bits, parse_frame
+from dctsteg.huffman import Bitstream, decode
 from dctsteg.errors import (
     BadMagic,
     DimensionMismatch,

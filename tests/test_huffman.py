@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dctsteg import (
+from dctsteg.huffman import (
     Bitstream,
     build_table,
     decode,
@@ -21,7 +21,7 @@ from dctsteg.errors import (
     TruncatedStream,
     WrongLength,
 )
-from support import min_prefix_cost
+from support import min_prefix_cost, reference_canonical_codes
 
 
 def lengths_of(table):
@@ -205,3 +205,30 @@ def test_bitstream_helpers():
         Bitstream.from_packed(packed, 9)
     joined = Bitstream.concat([bits, Bitstream.from_string("01")])
     assert joined.to_string() == "1011001"
+
+
+def test_decode_255_bit_codes():
+    # Kraft-exact chain: symbol s has length s + 1, symbols 254 and 255 share 255
+    lengths = np.append(np.arange(1, 256), 255).astype(np.uint8)
+    table = parse_table(Bitstream(np.unpackbits(lengths)))
+    assert table.max_length == 255
+    data = b"\xfe\xff\x00d\xff"
+    bits = encode(data, table)
+    assert len(bits) == 255 + 255 + 1 + 101 + 255
+    assert decode(bits, table, len(data)) == data
+
+
+def test_canonical_tables_match_reference_codes():
+    rng = np.random.default_rng(6)
+    chain = np.append(np.arange(1, 256), 255)
+    tables = [build_table(rng.integers(0, rng.integers(2, 257), 500).astype(np.uint8).tobytes())
+              for _ in range(20)]
+    tables.append(parse_table(Bitstream(np.unpackbits(chain.astype(np.uint8)))))
+    for table in tables:
+        lengths = table.code_lengths.tolist()
+        assert table.codewords == reference_canonical_codes(lengths)
+        for index, symbol in enumerate(table.symbols):
+            code, length = table.codewords[symbol]
+            assert table.first_index[length] <= index < table.first_index[length] + table.count[length]
+            assert code == table.first_code[length] + index - table.first_index[length]
+        assert table.count[1:] == [lengths.count(l) for l in range(1, table.max_length + 1)]

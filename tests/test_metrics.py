@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from dctsteg import Image8, mse, psnr
+from dctsteg import Image8, psnr
+from dctsteg.metrics import mse
 from dctsteg.errors import DimensionMismatch
 
 
