@@ -7,7 +7,6 @@ bit errors (no artifact is written).
 """
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -57,111 +56,86 @@ def _load_stego(path):
     raise BadMagic(f"{path}: neither a coefficient container nor a PGM")
 
 
-def _fmt_db(value):
-    return "inf" if math.isinf(value) else f"{value:.4f}"
-
-
 def cmd_embed(args):
-    try:
-        cover = _load_image8(args.cover)
-        data = _read_file(args.secret)
-        if args.secret_kind == "image":
-            secret = read_pgm(data)
-            if not isinstance(secret, Image8):
-                raise StegError(f"{args.secret}: image secrets must be 8-bit PGM")
-            frame = framing.build_frame(
-                secret.pixels.tobytes(),
-                framing.KIND_IMAGE,
-                (secret.width, secret.height),
-            )
-        else:
-            frame = framing.build_frame(data)
-        _note(args, f"frame of {frame.bit_length} bits into {cover.width}x{cover.height} cover")
-        stego, report = engine.embed(cover, frame, args.mode)
-        if report.residual_bit_errors:
-            return _fail(
-                5,
-                f"spatial8 render kept {report.residual_bit_errors} residual bit "
-                f"errors; no artifact written",
-            )
-        if args.mode == "container":
-            _write_file(args.out, stego.to_bytes())
-        else:
-            _write_file(args.out, write_pgm(stego))
-        print(
-            f"mode={args.mode} blocks_used={report.blocks_used} "
-            f"payload_bits={report.payload_bits} psnr_db={_fmt_db(report.psnr_db)} "
-            f"residual_bit_errors={report.residual_bit_errors}"
+    cover = _load_image8(args.cover)
+    data = _read_file(args.secret)
+    if args.secret_kind == "image":
+        secret = read_pgm(data)
+        if not isinstance(secret, Image8):
+            raise StegError(f"{args.secret}: image secrets must be 8-bit PGM")
+        frame = framing.build_frame(
+            secret.pixels.tobytes(),
+            framing.KIND_IMAGE,
+            (secret.width, secret.height),
         )
-        return 0
-    except PayloadTooLarge as exc:
-        return _fail(2, f"payload too large: {exc}")
-    except (StegError, OSError) as exc:
-        return _fail(3, exc)
+    else:
+        frame = framing.build_frame(data)
+    _note(args, f"frame of {frame.bit_length} bits into {cover.width}x{cover.height} cover")
+    stego, report = engine.embed(cover, frame, args.mode)
+    if report.residual_bit_errors:
+        return _fail(
+            5,
+            f"spatial8 render kept {report.residual_bit_errors} residual bit "
+            f"errors; no artifact written",
+        )
+    if args.mode == "container":
+        _write_file(args.out, stego.to_bytes())
+    else:
+        _write_file(args.out, write_pgm(stego))
+    print(
+        f"mode={args.mode} blocks_used={report.blocks_used} "
+        f"payload_bits={report.payload_bits} psnr_db={report.psnr_db:.4f} "
+        f"residual_bit_errors={report.residual_bit_errors}"
+    )
+    return 0
 
 
 def cmd_extract(args):
-    try:
-        stego = _load_stego(args.input)
-        secret, header = engine.extract(stego)
-        if header.secret_kind == framing.KIND_IMAGE:
-            pixels = np.frombuffer(secret, dtype=np.uint8).reshape(
-                header.secret_height, header.secret_width
-            )
-            _write_file(args.out, write_pgm(Image8(pixels)))
-            kind = "image"
-        else:
-            _write_file(args.out, secret)
-            kind = "bytes"
-        print(
-            f"secret_kind={kind} secret_bytes={len(secret)} "
-            f"secret_width={header.secret_width} secret_height={header.secret_height} "
-            f"payload_bits={header.payload_bit_length}"
+    stego = _load_stego(args.input)
+    secret, header = engine.extract(stego)
+    if header.secret_kind == framing.KIND_IMAGE:
+        pixels = np.frombuffer(secret, dtype=np.uint8).reshape(
+            header.secret_height, header.secret_width
         )
-        return 0
-    except OSError as exc:
-        return _fail(3, exc)
-    except StegError as exc:
-        return _fail(4, exc)
+        _write_file(args.out, write_pgm(Image8(pixels)))
+        kind = "image"
+    else:
+        _write_file(args.out, secret)
+        kind = "bytes"
+    print(
+        f"secret_kind={kind} secret_bytes={len(secret)} "
+        f"secret_width={header.secret_width} secret_height={header.secret_height} "
+        f"payload_bits={header.payload_bit_length}"
+    )
+    return 0
 
 
 def cmd_capacity(args):
-    try:
-        cover = _load_image8(args.cover)
-        payload = engine.capacity(cover.width, cover.height)
-        print(f"raw_slots={cover.width * cover.height} payload_bits={payload}")
-        return 0
-    except (StegError, OSError) as exc:
-        return _fail(3, exc)
+    cover = _load_image8(args.cover)
+    payload = engine.capacity(cover.width, cover.height)
+    print(f"raw_slots={cover.width * cover.height} payload_bits={payload}")
+    return 0
 
 
 def cmd_psnr(args):
-    try:
-        first = _load_image8(args.a)
-        second = _load_image8(args.b)
-        score = psnr(first, second)
-        print(f"psnr_db={_fmt_db(score.psnr_db)} mse={score.mse:.6f}")
-        return 0
-    except (StegError, OSError) as exc:
-        return _fail(3, exc)
+    first = _load_image8(args.a)
+    second = _load_image8(args.b)
+    score = psnr(first, second)
+    print(f"psnr_db={score.psnr_db:.4f} mse={score.mse:.6f}")
+    return 0
 
 
 def cmd_inspect(args):
-    try:
-        header, table, _ = engine.read_frame(_load_stego(args.input))
-        symbols = int(np.count_nonzero(table.code_lengths))
-        print(
-            f"magic=0x{header.magic:04x} version={header.version} "
-            f"secret_kind={header.secret_kind} secret_width={header.secret_width} "
-            f"secret_height={header.secret_height} symbol_count={header.symbol_count} "
-            f"payload_bits={header.payload_bit_length} table_symbols={symbols} "
-            f"max_code_length={table.max_length}"
-        )
-        return 0
-    except OSError as exc:
-        return _fail(3, exc)
-    except StegError as exc:
-        return _fail(4, exc)
+    header, table, _ = engine.read_frame(_load_stego(args.input))
+    symbols = int(np.count_nonzero(table.code_lengths))
+    print(
+        f"magic=0x{header.magic:04x} version={header.version} "
+        f"secret_kind={header.secret_kind} secret_width={header.secret_width} "
+        f"secret_height={header.secret_height} symbol_count={header.symbol_count} "
+        f"payload_bits={header.payload_bit_length} table_symbols={symbols} "
+        f"max_code_length={table.max_length}"
+    )
+    return 0
 
 
 def _build_parser():
@@ -179,28 +153,35 @@ def _build_parser():
     p.add_argument("--secret-kind", choices=("bytes", "image"), default="bytes")
     p.add_argument("--mode", choices=("container", "spatial8"), default="container")
     p.add_argument("--out", required=True, help="output artifact path")
-    p.set_defaults(func=cmd_embed)
+    p.set_defaults(func=cmd_embed, bad_input=3)
 
     p = sub.add_parser("extract", help="recover the secret from a stego artifact")
     p.add_argument("--in", dest="input", required=True, help=".dsc container or stego PGM")
     p.add_argument("--out", required=True, help="recovered secret path")
-    p.set_defaults(func=cmd_extract)
+    p.set_defaults(func=cmd_extract, bad_input=4)
 
     p = sub.add_parser("capacity", help="payload budget of a cover")
     p.add_argument("--cover", required=True)
-    p.set_defaults(func=cmd_capacity)
+    p.set_defaults(func=cmd_capacity, bad_input=3)
 
     p = sub.add_parser("psnr", help="fidelity between two images")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.set_defaults(func=cmd_psnr)
+    p.set_defaults(func=cmd_psnr, bad_input=3)
 
     p = sub.add_parser("inspect", help="dump frame header and table stats")
     p.add_argument("--in", dest="input", required=True)
-    p.set_defaults(func=cmd_inspect)
+    p.set_defaults(func=cmd_inspect, bad_input=4)
     return parser
 
 
 def entry(argv=None):
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except PayloadTooLarge as exc:
+        return _fail(2, f"payload too large: {exc}")
+    except OSError as exc:
+        return _fail(3, exc)
+    except StegError as exc:
+        return _fail(args.bad_input, exc)

@@ -292,10 +292,9 @@ def embed(cover, frame, mode="container"):
         raise PayloadTooLarge(
             f"frame of {frame.bit_length} bits exceeds {slots} coefficient slots"
         )
-    groups = framing.chunk_bits(frame)
-    used = groups.shape[0]
+    bit_blocks = frame.bits.bits.reshape(-1, BLOCK, BLOCK).astype(np.int64)
+    used = bit_blocks.shape[0]
     coeffs = blockdct.quantize(blockdct.forward_dct(pixel_blocks))
-    bit_blocks = groups.reshape(used, BLOCK, BLOCK).astype(np.int64)
     coeffs[:used] = set_lsb(coeffs[:used], bit_blocks)
     payload_bits = frame.header.payload_bit_length
     if mode == "container":

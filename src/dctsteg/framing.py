@@ -19,13 +19,14 @@ import numpy as np
 
 from . import huffman
 from .errors import (
+    BadHeader,
     BadMagic,
     DimensionMismatch,
     EmptyInput,
     TruncatedFrame,
     UnsupportedVersion,
 )
-from .huffman import Bitstream, HuffmanTable
+from .huffman import Bitstream
 
 FRAME_MAGIC = 0x5347
 FRAME_VERSION = 1
@@ -50,8 +51,8 @@ class PayloadHeader:
     magic: int = FRAME_MAGIC
     version: int = FRAME_VERSION
 
-    def to_bits(self):
-        packed = _HEADER_STRUCT.pack(
+    def to_bytes(self):
+        return _HEADER_STRUCT.pack(
             self.magic,
             self.version,
             self.secret_kind,
@@ -60,7 +61,6 @@ class PayloadHeader:
             self.symbol_count,
             self.payload_bit_length,
         )
-        return Bitstream.from_packed(packed, HEADER_BITS)
 
     @classmethod
     def parse(cls, bits):
@@ -68,16 +68,16 @@ class PayloadHeader:
             raise TruncatedFrame(
                 f"header needs {HEADER_BITS} bits, have {bits.bit_length}"
             )
-        fields = _HEADER_STRUCT.unpack(bits[:HEADER_BITS].pack())
+        fields = _HEADER_STRUCT.unpack(np.packbits(bits.bits[:HEADER_BITS]).tobytes())
         magic, version, kind, width, height, symbol_count, payload_bits = fields
         if magic != FRAME_MAGIC:
             raise BadMagic(f"frame magic 0x{magic:04x} != 0x{FRAME_MAGIC:04x}")
         if version != FRAME_VERSION:
             raise UnsupportedVersion(f"frame version {version} not supported")
         if kind not in (KIND_BYTES, KIND_IMAGE):
-            raise BadMagic(f"corrupt frame header: unknown secret kind {kind}")
+            raise BadHeader(f"corrupt frame header: unknown secret kind {kind}")
         if kind == KIND_IMAGE and width * height != symbol_count:
-            raise BadMagic("corrupt frame header: image dims disagree with symbol count")
+            raise BadHeader("corrupt frame header: image dims disagree with symbol count")
         return cls(kind, width, height, symbol_count, payload_bits)
 
 
@@ -116,13 +116,14 @@ def build_frame(secret, kind=KIND_BYTES, dims=None):
     table = huffman.build_table(secret)
     payload = huffman.encode(secret, table)
     header = PayloadHeader(kind, width, height, len(secret), payload.bit_length)
-    body = Bitstream.concat(
-        [header.to_bits(), huffman.serialize_table(table), payload]
-    )
-    pad = (-body.bit_length) % GROUP_BITS
-    if pad:
-        body = Bitstream.concat([body, Bitstream(np.zeros(pad, dtype=np.uint8))])
-    return PayloadFrame(body, header)
+    # header + table is 2176 bits, 34 whole groups, so only the payload needs padding
+    bits = np.concatenate([
+        np.unpackbits(np.frombuffer(header.to_bytes(), dtype=np.uint8)),
+        huffman.serialize_table(table).bits,
+        payload.bits,
+        np.zeros((-payload.bit_length) % GROUP_BITS, dtype=np.uint8),
+    ])
+    return PayloadFrame(Bitstream(bits), header)
 
 
 def parse_frame(bits):
@@ -133,18 +134,10 @@ def parse_frame(bits):
         raise TruncatedFrame(
             f"table needs {table_end} bits, have {bits.bit_length}"
         )
-    table = huffman.parse_table(bits[HEADER_BITS:table_end])
+    table = huffman.parse_table(Bitstream(bits.bits[HEADER_BITS:table_end]))
     payload_end = table_end + header.payload_bit_length
     if bits.bit_length < payload_end:
         raise TruncatedFrame(
             f"payload promises {header.payload_bit_length} bits, frame is short"
         )
-    return header, table, bits[table_end:payload_end]
-
-
-def chunk_bits(frame):
-    """The frame as an (n, 64) array of bit groups; group i targets block i."""
-    bits = frame.bits.bits
-    if bits.size % GROUP_BITS:
-        raise ValueError("frame length must be a multiple of 64")
-    return bits.reshape(-1, GROUP_BITS)
+    return header, table, Bitstream(bits.bits[table_end:payload_end])

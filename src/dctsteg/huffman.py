@@ -21,7 +21,7 @@ TABLE_BITS = 2048  # 256 symbols x 8-bit code length
 
 
 class Bitstream:
-    """Ordered bit sequence. Byte packing is MSB-first within each byte."""
+    """Ordered bit sequence, one uint8 0/1 per bit."""
 
     __slots__ = ("bits",)
 
@@ -31,52 +31,6 @@ class Bitstream:
     @property
     def bit_length(self):
         return int(self.bits.size)
-
-    @classmethod
-    def from_string(cls, text):
-        """Build from a '0'/'1' string, e.g. '010'."""
-        if not text:
-            return cls()
-        return cls(np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0"))
-
-    @classmethod
-    def from_packed(cls, data, bit_length):
-        """Unpack bit_length bits from MSB-first packed bytes."""
-        bits = np.unpackbits(np.frombuffer(bytes(data), dtype=np.uint8))
-        if bits.size < bit_length:
-            raise TruncatedStream(f"need {bit_length} bits, have {bits.size}")
-        return cls(bits[:bit_length])
-
-    def pack(self):
-        """MSB-first packed bytes, zero padded to a whole byte."""
-        return np.packbits(self.bits).tobytes()
-
-    def to_string(self):
-        return "".join("01"[b] for b in self.bits.tolist())
-
-    @staticmethod
-    def concat(parts):
-        arrays = [p.bits for p in parts]
-        if not arrays:
-            return Bitstream()
-        return Bitstream(np.concatenate(arrays))
-
-    def __len__(self):
-        return self.bits.size
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return Bitstream(self.bits[key])
-        return int(self.bits[key])
-
-    def __eq__(self, other):
-        if not isinstance(other, Bitstream):
-            return NotImplemented
-        return self.bits.size == other.bits.size and bool(np.all(self.bits == other.bits))
-
-    def __repr__(self):
-        head = self.to_string() if self.bit_length <= 64 else self.to_string()[:61] + "..."
-        return f"Bitstream({self.bit_length} bits: {head})"
 
 
 class HuffmanTable:
@@ -159,8 +113,6 @@ def build_table(data):
 def encode(data, table):
     """Concatenate canonical codewords for data in input order."""
     data = bytes(data)
-    if not data:
-        return Bitstream()
     used = np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256) > 0
     missing = np.flatnonzero(used & (table.code_lengths == 0))
     if missing.size:
@@ -169,7 +121,7 @@ def encode(data, table):
     for s in np.flatnonzero(used):
         strings[s] = table.bit_string(int(s))
     joined = "".join(map(strings.__getitem__, data))
-    return Bitstream.from_string(joined)
+    return Bitstream(np.frombuffer(joined.encode("ascii"), np.uint8) - ord("0"))
 
 
 def decode(bits, table, symbol_count):

@@ -266,6 +266,23 @@ def test_inspect_non_stego_exit_4(capsys, tmp_path, cover_path):
     assert code == 4 and "error:" in err
 
 
+def test_inspect_corrupt_kind_exit_4(capsys, tmp_path, cover_path):
+    secret = tmp_path / "secret.bin"
+    secret.write_bytes(b"kind byte gets corrupted")
+    out_path = tmp_path / "stego.dsc"
+    run_cli(capsys, "embed", "--cover", cover_path, "--secret", secret, "--out", out_path)
+    data = bytearray(out_path.read_bytes())
+    # frame bits 24..31 (the kind byte) sit in the LSBs of block 0's
+    # coefficients 24..31; each coefficient is 2 big-endian bytes after the
+    # 8-byte container header
+    for i, bit in enumerate(np.unpackbits(np.uint8(5))):
+        data[8 + 2 * (24 + i) + 1] = (data[8 + 2 * (24 + i) + 1] & 0xFE) | int(bit)
+    out_path.write_bytes(bytes(data))
+    code, out, err = run_cli(capsys, "inspect", "--in", out_path)
+    assert code == 4 and out == ""
+    assert "unknown secret kind 5" in err and "magic" not in err
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "dctsteg", "--help"],

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dctsteg import KIND_BYTES, KIND_IMAGE, build_frame
-from dctsteg.framing import PayloadHeader, chunk_bits, parse_frame
+from dctsteg import KIND_BYTES, KIND_IMAGE, Image8, build_frame, embed
+from dctsteg.framing import PayloadHeader, parse_frame
 from dctsteg.huffman import Bitstream, decode
 from dctsteg.errors import (
+    BadHeader,
     BadMagic,
     DimensionMismatch,
     EmptyInput,
@@ -18,6 +19,12 @@ from dctsteg.errors import (
     TruncatedFrame,
     UnsupportedVersion,
 )
+from support import natural_cover
+
+
+def _unpacked(packed):
+    """Bitstream of MSB-first packed bytes."""
+    return Bitstream(np.unpackbits(np.frombuffer(bytes(packed), dtype=np.uint8)))
 
 
 def test_single_symbol_frame_layout():
@@ -28,22 +35,21 @@ def test_single_symbol_frame_layout():
     assert frame.header.payload_bit_length == 4
     assert frame.header.secret_kind == KIND_BYTES
     assert frame.header.secret_width == 0
-    groups = chunk_bits(frame)
-    assert groups.shape == (35, 64)
+    assert frame.bits.bits.reshape(-1, 64).shape == (35, 64)
     # padding region is all zero
-    assert not frame.bits[2180:].bits.any()
+    assert not frame.bits.bits[2180:].any()
 
 
 def test_header_wire_format():
     header = PayloadHeader(KIND_IMAGE, 3, 2, 6, 40)
-    packed = header.to_bits().pack()
+    packed = header.to_bytes()
     assert packed == struct.pack(">HBBHHII", 0x5347, 1, 1, 3, 2, 6, 40)
-    assert PayloadHeader.parse(header.to_bits()) == header
+    assert PayloadHeader.parse(_unpacked(packed)) == header
 
 
 def test_header_magic_bytes():
     frame = build_frame(b"hello")
-    assert frame.bits[:16].pack() == b"\x53\x47"
+    assert np.packbits(frame.bits.bits[:16]).tobytes() == b"\x53\x47"
 
 
 def test_frame_round_trip_bytes():
@@ -84,36 +90,36 @@ def test_parse_rejects_wrong_magic():
 
 def test_parse_rejects_unknown_version():
     good = build_frame(b"data").bits
-    packed = bytearray(good.pack())
+    packed = bytearray(np.packbits(good.bits))
     packed[2] = 9  # version byte
     with pytest.raises(UnsupportedVersion):
-        parse_frame(Bitstream.from_packed(bytes(packed), good.bit_length))
+        parse_frame(_unpacked(packed))
 
 
 def test_parse_rejects_unknown_kind():
     good = build_frame(b"data").bits
-    packed = bytearray(good.pack())
+    packed = bytearray(np.packbits(good.bits))
     packed[3] = 5  # kind byte
-    with pytest.raises(BadMagic):
-        parse_frame(Bitstream.from_packed(bytes(packed), good.bit_length))
+    with pytest.raises(BadHeader):
+        parse_frame(_unpacked(packed))
 
 
 def test_parse_rejects_dim_symbol_mismatch():
     good = build_frame(b"abcd", KIND_IMAGE, (2, 2)).bits
-    packed = bytearray(good.pack())
+    packed = bytearray(np.packbits(good.bits))
     packed[4:6] = (0).to_bytes(2, "big")  # zero out secret_width
-    with pytest.raises(BadMagic):
-        parse_frame(Bitstream.from_packed(bytes(packed), good.bit_length))
+    with pytest.raises(BadHeader):
+        parse_frame(_unpacked(packed))
 
 
 def test_parse_truncation_points():
     frame = build_frame(b"some payload bytes")
     with pytest.raises(TruncatedFrame):
-        parse_frame(frame.bits[:100])  # inside the header
+        parse_frame(Bitstream(frame.bits.bits[:100]))  # inside the header
     with pytest.raises(TruncatedFrame):
-        parse_frame(frame.bits[:1500])  # inside the table
+        parse_frame(Bitstream(frame.bits.bits[:1500]))  # inside the table
     with pytest.raises(TruncatedFrame):
-        parse_frame(frame.bits[: 128 + 2048 + 3])  # inside the payload
+        parse_frame(Bitstream(frame.bits.bits[: 128 + 2048 + 3]))  # inside the payload
 
 
 def test_parse_corrupt_table_overfull():
@@ -126,12 +132,11 @@ def test_parse_corrupt_table_overfull():
         parse_frame(Bitstream(bits))
 
 
-def test_chunk_order_matches_bit_order():
+def test_block_lsbs_match_frame_bit_order():
     frame = build_frame(b"zq" * 40)
-    groups = chunk_bits(frame)
-    flat = groups.reshape(-1)
-    assert np.array_equal(flat, frame.bits.bits)
-    assert groups.shape[1] == 64
+    container, report = embed(Image8(natural_cover(64, 64, 7)), frame)
+    lsbs = container.coeffs[: report.blocks_used] & 1
+    assert np.array_equal(lsbs.reshape(-1), frame.bits.bits)
 
 
 @given(st.binary(min_size=1, max_size=400))
