@@ -76,6 +76,8 @@ class PayloadHeader:
             raise UnsupportedVersion(f"frame version {version} not supported")
         if kind not in (KIND_BYTES, KIND_IMAGE):
             raise BadHeader(f"corrupt frame header: unknown secret kind {kind}")
+        if symbol_count == 0:
+            raise BadHeader("corrupt frame header: zero symbol count")
         if kind == KIND_IMAGE and width * height != symbol_count:
             raise BadHeader("corrupt frame header: image dims disagree with symbol count")
         return cls(kind, width, height, symbol_count, payload_bits)

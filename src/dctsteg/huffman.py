@@ -4,6 +4,7 @@ Codes are defined entirely by their lengths: codewords are assigned in
 (length, symbol) order, so a 256-entry length array is the whole table.
 """
 
+import bisect
 import heapq
 
 import numpy as np
@@ -18,6 +19,7 @@ from .errors import (
 )
 
 TABLE_BITS = 2048  # 256 symbols x 8-bit code length
+LOOKUP_BITS = 16  # decode finds codes up to this long in one lookup table
 
 
 class Bitstream:
@@ -125,34 +127,93 @@ def encode(data, table):
 
 
 def decode(bits, table, symbol_count):
-    """Decode exactly symbol_count symbols from a canonical-code bitstream."""
+    """Decode exactly symbol_count symbols from a canonical-code bitstream.
+
+    numpy finds the length of every codeword up to LOOKUP_BITS long that
+    starts at a bit offset; a Python loop then steps once per symbol along
+    those lengths, reading a longer codeword as one int where it meets one,
+    and one gather maps the short codewords it stepped on to their symbols.
+    """
     if symbol_count == 0:
         return b""
     if not table.symbols:
         raise InvalidCode("empty table cannot decode symbols")
-    # A prefix that matched no shorter codeword is at least first_code[length],
-    # so it is a codeword exactly when it is below first_code + count.
-    limit = [f + n for f, n in zip(table.first_code, table.count)]
+    m = table.max_length
+    # Left-justified to m bits, the limits first_code[l] + count[l] rise with l.
+    # A prefix that matched no shorter codeword is at least first_code[l], so
+    # the codeword at an offset is as long as the first limit above its next m bits.
+    lefts = [(f + c) << (m - l)
+             for l, (f, c) in enumerate(zip(table.first_code, table.count))][1:]
     base = [i - f for i, f in zip(table.first_index, table.first_code)]
-    symbols = table.symbols
-    max_length = table.max_length
-    out = bytearray()
-    code = 0
-    length = 0
-    for bit in bits.bits.tolist():
-        code = (code << 1) | bit
-        length += 1
-        if code < limit[length]:
-            out.append(symbols[code + base[length]])
-            if len(out) == symbol_count:
-                return bytes(out)
-            code = 0
-            length = 0
-        elif length >= max_length:
-            raise InvalidCode(f"no codeword matches prefix of length {length}")
-    raise TruncatedStream(
-        f"stream ended after {len(out)} of {symbol_count} symbols"
-    )
+    width = min(m, LOOKUP_BITS)
+    length, index = _codeword_lengths(bits, lefts, width)
+    steps = memoryview(length)  # indexing yields cached small ints, copying nothing
+    visited = bytearray(bits.bit_length + 1)
+    late = []  # symbols of codewords longer than width, in stream order
+    p = k = 0
+    while True:
+        for k in range(k, symbol_count):
+            step = steps[p]
+            if not step:
+                break
+            visited[p] = 1
+            p += step
+        else:
+            break
+        chunk = bits.bits[p:p + m]
+        # the next m bits as one int, zero-filled past the end of the stream
+        packed_chunk = np.packbits(chunk)
+        value = (int.from_bytes(packed_chunk.tobytes(), "big") << m) >> (8 * packed_chunk.size)
+        step = bisect.bisect_right(lefts, value) + 1
+        if step > chunk.size:
+            if chunk.size == m:
+                raise InvalidCode(f"no codeword matches prefix of length {m}")
+            raise TruncatedStream(f"stream ended after {k} of {symbol_count} symbols")
+        late.append(table.symbols[(value >> (m - step)) + base[step]])
+        visited[p] = 1
+        p += step
+        k += 1
+    starts = np.flatnonzero(np.frombuffer(visited, dtype=np.uint8))
+    lengths = length[starts]
+    short = lengths > 0
+    lengths = lengths[short].astype(np.intp)
+    codes = index[starts[short]] >> (width - lengths).astype(np.uint32)
+    out = np.empty(starts.size, dtype=np.uint8)
+    out[short] = np.asarray(table.symbols, dtype=np.uint8)[
+        codes.astype(np.intp) + np.array(base[:width + 1], dtype=np.intp)[lengths]]
+    out[~short] = late
+    return out.tobytes()
+
+
+def _codeword_lengths(bits, lefts, width):
+    """Codeword length and the next width bits at every bit offset of bits.
+
+    The lengths are uint8 with one entry past the stream, and 0 where the
+    codeword is longer than width, matches nothing, or needs bits past the
+    end; decode resolves those offsets one by one. The width bits are
+    uint32, zero-filled past the end.
+    """
+    n = bits.bit_length
+    m = len(lefts)
+    bounds = [x << width >> m for x in lefts[:width]]
+    lookup = np.zeros(1 << width, dtype=np.uint8)
+    lookup[:bounds[-1]] = np.repeat(np.arange(1, width + 1, dtype=np.uint8),
+                                    np.diff(bounds, prepend=0))
+    # zero bytes past the end give each offset its full 24-bit word
+    groups = n // 8 + 1
+    packed = np.concatenate([np.packbits(bits.bits), np.zeros(3, dtype=np.uint8)])
+    # 24 bits from each byte on hold the next width bits at each of its 8 offsets
+    word = (packed[:groups].astype(np.uint32) << 16
+            | packed[1:groups + 1].astype(np.uint32) << 8 | packed[2:groups + 2])
+    index = word[:, None] >> np.arange(24 - width, 16 - width, -1, dtype=np.uint32)
+    index &= (1 << width) - 1
+    index = index.reshape(-1)[:n + 1]
+    length = lookup[index]
+    length[n] = 0
+    # a codeword that only the zero fill past the end would complete is cut off
+    tail = length[max(n - width, 0):n]
+    tail[tail > np.arange(tail.size, 0, -1)] = 0
+    return length, index
 
 
 def serialize_table(table):

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from dctsteg.errors import InvalidCode, TruncatedStream
+
 
 def _c(k):
     return 1.0 / math.sqrt(2.0) if k == 0 else 1.0
@@ -108,6 +110,41 @@ def reference_canonical_codes(lengths):
         code += 1
         prev_len = length
     return codes
+
+
+def reference_decode(bits, table, symbol_count):
+    """Per-bit canonical decode, the oracle for the library's table-driven decode.
+
+    It extends the current prefix one bit at a time and tests it against the
+    canonical limits of its length.
+    """
+    if symbol_count == 0:
+        return b""
+    if not table.symbols:
+        raise InvalidCode("empty table cannot decode symbols")
+    # A prefix that matched no shorter codeword is at least first_code[length],
+    # so it is a codeword exactly when it is below first_code + count.
+    limit = [f + n for f, n in zip(table.first_code, table.count)]
+    base = [i - f for i, f in zip(table.first_index, table.first_code)]
+    symbols = table.symbols
+    max_length = table.max_length
+    out = bytearray()
+    code = 0
+    length = 0
+    for bit in bits.bits.tolist():
+        code = (code << 1) | bit
+        length += 1
+        if code < limit[length]:
+            out.append(symbols[code + base[length]])
+            if len(out) == symbol_count:
+                return bytes(out)
+            code = 0
+            length = 0
+        elif length >= max_length:
+            raise InvalidCode(f"no codeword matches prefix of length {length}")
+    raise TruncatedStream(
+        f"stream ended after {len(out)} of {symbol_count} symbols"
+    )
 
 
 def _bilinear(coarse, height, width):

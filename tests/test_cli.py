@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dctsteg import Image8, read_pgm, write_pgm
+from dctsteg import KIND_IMAGE, Image8, embed, read_pgm, write_pgm
 from dctsteg.cli import entry
+from dctsteg.framing import TABLE_BITS, PayloadFrame, PayloadHeader
+from dctsteg.huffman import Bitstream
 from support import natural_cover
 
 
@@ -264,6 +266,25 @@ def test_inspect_container(capsys, tmp_path, cover_path):
 def test_inspect_non_stego_exit_4(capsys, tmp_path, cover_path):
     code, _, err = run_cli(capsys, "inspect", "--in", cover_path)
     assert code == 4 and "error:" in err
+
+
+def test_zero_symbol_count_exit_4(capsys, tmp_path, cover_path):
+    # build_frame never writes a zero symbol count, but a 0x0 image header
+    # with an empty table and payload agrees with it
+    header = PayloadHeader(KIND_IMAGE, 0, 0, 0, 0)
+    bits = np.concatenate([np.unpackbits(np.frombuffer(header.to_bytes(), dtype=np.uint8)),
+                           np.zeros(TABLE_BITS, dtype=np.uint8)])
+    container, _ = embed(read_pgm(cover_path.read_bytes()), PayloadFrame(Bitstream(bits), header))
+    stego = tmp_path / "zero.dsc"
+    stego.write_bytes(container.to_bytes())
+    recovered = tmp_path / "recovered.pgm"
+    code, out, err = run_cli(capsys, "extract", "--in", stego, "--out", recovered)
+    assert code == 4 and out == ""
+    assert "zero symbol count" in err
+    assert not recovered.exists()
+    code, out, err = run_cli(capsys, "inspect", "--in", stego)
+    assert code == 4 and out == ""
+    assert "zero symbol count" in err
 
 
 def test_inspect_corrupt_kind_exit_4(capsys, tmp_path, cover_path):

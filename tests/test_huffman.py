@@ -17,11 +17,12 @@ from dctsteg.errors import (
     EmptyInput,
     InvalidCode,
     KraftViolation,
+    StegError,
     SymbolNotInTable,
     TruncatedStream,
     WrongLength,
 )
-from support import min_prefix_cost, reference_canonical_codes
+from support import min_prefix_cost, reference_canonical_codes, reference_decode
 
 
 def lengths_of(table):
@@ -217,3 +218,76 @@ def test_canonical_tables_match_reference_codes():
             assert table.first_index[length] <= index < table.first_index[length] + table.count[length]
             assert code == table.first_code[length] + index - table.first_index[length]
         assert table.count[1:] == [lengths.count(l) for l in range(1, table.max_length + 1)]
+
+
+def outcome(decoder, bits, table, symbol_count):
+    """Decoded bytes, or the class and message of the error raised."""
+    try:
+        return decoder(bits, table, symbol_count)
+    except StegError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def code_tables(draw):
+    """Tables from build_table, or Kraft-exact or incomplete ones through parse_table."""
+    if draw(st.booleans()):
+        return build_table(draw(st.binary(min_size=1, max_size=300)))
+    # a chain with a codeword of every length up to top is Kraft-exact, and
+    # stays so as leaves split; dropping leaves makes it incomplete
+    top = draw(st.integers(1, 255))
+    leaves = list(range(1, top)) + [top, top]
+    for pick in draw(st.lists(st.integers(0, 255), max_size=256 - len(leaves))):
+        depth = leaves[pick % len(leaves)]
+        if depth < 255:
+            leaves[pick % len(leaves)] = depth + 1
+            leaves.append(depth + 1)
+    if len(leaves) > 1:
+        dropped = draw(st.sets(st.integers(0, len(leaves) - 1), max_size=len(leaves) - 1))
+        leaves = [d for i, d in enumerate(leaves) if i not in dropped]
+    symbols = draw(st.permutations(range(256)))
+    lengths = np.zeros(256, dtype=np.uint8)
+    lengths[symbols[:len(leaves)]] = leaves
+    return parse_table(Bitstream(np.unpackbits(lengths)))
+
+
+@given(code_tables(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_decode_matches_per_bit_reference(table, data):
+    secret = bytes(data.draw(st.lists(st.sampled_from(table.symbols), min_size=1, max_size=40)))
+    bits = encode(secret, table).bits.copy()
+    for i in data.draw(st.lists(st.integers(0, bits.size - 1), max_size=3)):
+        bits[i] ^= 1
+    if data.draw(st.booleans()):
+        bits = bits[:data.draw(st.integers(0, bits.size))]
+    count = max(0, len(secret) + data.draw(st.integers(-2, 5)))
+    stream = Bitstream(bits)
+    assert outcome(decode, stream, table, count) == outcome(reference_decode, stream, table, count)
+
+
+@pytest.mark.parametrize("long", [16, 17, 56, 57, 58, 64])
+def test_decode_long_codes_first_and_last(long):
+    # symbol s has length s + 1 below long; symbols long - 1 and long share it
+    lengths = np.zeros(256, dtype=np.uint8)
+    lengths[:long] = np.arange(1, long + 1)
+    lengths[long] = long
+    table = parse_table(Bitstream(np.unpackbits(lengths)))
+    assert table.bit_string(long - 1).endswith("0")
+    for secret in [bytes([long - 1]), bytes([long, 0, 3, long - 1]), bytes([long - 1, 7, long])]:
+        bits = encode(secret, table)
+        # the last codeword ends on the last bit
+        assert bits.bit_length == sum(int(lengths[s]) for s in secret)
+        assert decode(bits, table, len(secret)) == secret
+        assert decode(bits, table, len(secret) - 1) == secret[:-1]
+        # zero fill past the end would complete the code of long - 1, which ends in 0
+        short = Bitstream(bits.bits[:-1])
+        with pytest.raises(TruncatedStream, match=f"after {len(secret) - 1} of {len(secret)}"):
+            decode(short, table, len(secret))
+        assert outcome(decode, short, table, len(secret)) == outcome(
+            reference_decode, short, table, len(secret))
+
+
+def test_decode_huge_symbol_count_is_bounded_by_the_stream():
+    table = build_table(b"ab")
+    with pytest.raises(TruncatedStream, match="^stream ended after 64 of 4294967295 symbols$"):
+        decode(Bitstream(np.zeros(64, dtype=np.uint8)), table, 2**32 - 1)
