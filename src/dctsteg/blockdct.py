@@ -65,9 +65,16 @@ def assemble(blocks, width, height):
     return grid.transpose(0, 2, 1, 3).reshape(height, width)
 
 
-def forward_dct(blocks):
-    """Real DCT coefficients of one block or a stack of blocks."""
-    return _batched(lambda a: _M @ a @ _MT, blocks)
+def forward_dct(blocks, out=None):
+    """Real DCT coefficients of one block or a stack of blocks.
+
+    out, for a float64 stack of n blocks, is a caller-owned (2, n, 8, 8)
+    float64 buffer: both products land there and out[1] is returned, so a
+    hot loop allocates nothing. The float operations are the same.
+    """
+    if out is None:
+        return _batched(lambda a: _M @ a @ _MT, blocks)
+    return np.matmul(np.matmul(_M, blocks, out=out[0]), _MT, out=out[1])
 
 
 def inverse_dct(coeffs):
@@ -78,6 +85,27 @@ def inverse_dct(coeffs):
 def quantize(coeffs):
     """Round real coefficients half-away-from-zero to integers."""
     return round_half_away(coeffs).astype(np.int64)
+
+
+def lsb_parity(blocks, work=None, out=None):
+    """Bit 0 of the quantized coefficients of (n, 8, 8) pixel blocks, as bool.
+
+    Bit for bit get_lsb(quantize(forward_dct(blocks))): the same products
+    and the same half-away rounding, done in place, with parity read off the
+    float (exact for coefficients this small). Verify and extract both read
+    parity here, so they share one forward path. work is an optional
+    caller-owned (2, n, 8, 8) float64 buffer and out an (n, 8, 8) bool one.
+    """
+    if work is None:
+        work = np.empty((2, *np.shape(blocks)))
+    coeffs = forward_dct(blocks, out=work)
+    scratch = work[0]
+    np.copysign(0.5, coeffs, out=scratch)
+    np.add(coeffs, scratch, out=coeffs)
+    np.trunc(coeffs, out=coeffs)
+    np.multiply(coeffs, 0.5, out=coeffs)
+    np.floor(coeffs, out=scratch)
+    return np.not_equal(coeffs, scratch, out=out)
 
 
 def dequantize(coeffs):

@@ -7,6 +7,7 @@ bit errors (no artifact is written).
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -138,7 +139,9 @@ def cmd_inspect(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    # Built once per process: building costs some twenty times a parse.
     parser = argparse.ArgumentParser(
         prog="dctsteg",
         description="Hide byte or image secrets in coefficient LSBs of PGM covers.",

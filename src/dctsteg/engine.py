@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blockdct, framing, huffman, metrics
-from .blockdct import BLOCK, round_half_away
+from .blockdct import BLOCK
 from .errors import (
     BadHeader,
     BadMagic,
@@ -129,25 +129,17 @@ def _samples(coeffs):
 
 
 def _to_pixels(samples):
-    """Round and clamp real samples to 8-bit pixel values (still float dtype)."""
-    return np.clip(round_half_away(samples), 0.0, 255.0)
+    """Round and clamp real samples to 8-bit pixel values (still float dtype).
+
+    floor(v + 0.5) is half-away-from-zero rounding for v >= 0, and the clamp
+    sends every other value to 0 either way.
+    """
+    return np.clip(np.floor(samples + 0.5), 0.0, 255.0)
 
 
 def _render_blocks(coeffs):
     """Integer coefficient blocks to 8-bit pixel values (still float dtype)."""
     return _to_pixels(_samples(coeffs))
-
-
-def _lsb_mismatch(pixels, bits):
-    """Re-transform rendered pixel blocks and compare their LSBs against bits.
-
-    Every parity decision in the library flows through this one batched code
-    path: reordering float operations can flip a coefficient sitting on a
-    rounding boundary, so verify and extract must share the same pipeline.
-    Returns mismatch masks (k,8,8).
-    """
-    recovered = blockdct.quantize(blockdct.forward_dct(pixels))
-    return get_lsb(recovered) != bits[None, :, :]
 
 
 # _BASIS[i] is the inverse-DCT image of a unit coefficient i, flattened
@@ -157,27 +149,57 @@ _BASIS = blockdct.inverse_dct(np.eye(BLOCK * BLOCK).reshape(-1, BLOCK, BLOCK)).r
 _TIE_EPS = 1e-6  # samples this close to a .5 rounding tie take the full render
 
 
-def _candidate_pixels(cur, samples, offenders, rows):
+class _Workspace:
+    """Pool buffers for _POOL_CAP candidates, reused by every round and block.
+
+    One per spatial8 embed: a fresh 1 MB temporary per pool is handed back
+    to the OS and faulted in again, which cost more than the arithmetic.
+    Rows [start, stop) of each buffer belong to the pool's candidates
+    start..stop-1; views into them are overwritten by the next pool.
+    """
+
+    __slots__ = ("pixels", "work", "ties", "masks")
+
+    def __init__(self):
+        self.pixels = np.empty((_POOL_CAP, BLOCK * BLOCK))
+        self.work = np.empty((2, _POOL_CAP, BLOCK, BLOCK))
+        self.ties = np.empty((_POOL_CAP, BLOCK * BLOCK), dtype=bool)
+        self.masks = np.empty((_POOL_CAP, BLOCK, BLOCK), dtype=bool)
+
+
+def _candidate_pixels(cur, samples, offenders, rows, ws, start):
     """Pixels of cur nudged by each pattern row on the offender slots, (k,8,8).
 
-    Samples are cur's own samples plus the nudged basis images, one small
-    product instead of an inverse DCT per candidate. That sum differs from
-    the full render by float noise, which only matters where a sample sits
-    on a .5 rounding tie; candidates with such a sample are re-rendered
-    through _render_blocks, so every pixel equals the full render's.
+    Written to the workspace rows from start on. Samples are cur's own
+    samples plus the nudged basis images, one small product instead of an
+    inverse DCT per candidate. That sum differs from the full render by
+    float noise, which only matters where a sample sits on a .5 rounding
+    tie; candidates with such a sample are re-rendered through
+    _render_blocks, so every pixel equals the full render's.
     """
-    values = samples.reshape(1, -1) + rows @ _BASIS[offenders]
-    pixels = _to_pixels(values).reshape(-1, BLOCK, BLOCK)
-    ties = np.flatnonzero((np.abs(values - np.floor(values) - 0.5) < _TIE_EPS).any(axis=1))
+    stop = start + len(rows)
+    values = ws.work[0, start:stop].reshape(-1, BLOCK * BLOCK)
+    pixels = ws.pixels[start:stop]
+    np.matmul(rows, _BASIS[offenders], out=values)
+    values += samples.reshape(1, -1)
+    np.add(values, 0.5, out=pixels)
+    np.floor(pixels, out=pixels)
+    values -= pixels  # a tie when |v - floor(v + 0.5)| is within eps of 0.5
+    np.abs(values, out=values)
+    ties = np.greater(values, 0.5 - _TIE_EPS, out=ws.ties[start:stop])
+    np.clip(pixels, 0.0, 255.0, out=pixels)
+    ties = np.flatnonzero(ties.any(axis=1))
     if ties.size:
-        pixels[ties] = _render_blocks(_nudged(cur, offenders, rows[ties]))
-    return pixels
+        pixels[ties] = _render_blocks(_nudged(cur, offenders, rows[ties])).reshape(
+            -1, BLOCK * BLOCK
+        )
+    return pixels.reshape(-1, BLOCK, BLOCK)
 
 
 def _nudged(cur, offenders, rows):
     """Coefficient blocks cur + each row on the offender slots, (k,8,8)."""
     cands = np.repeat(cur.reshape(1, -1), len(rows), axis=0)
-    cands[:, offenders] += rows
+    cands[:, offenders] += rows.astype(np.int64)
     return cands.reshape(-1, BLOCK, BLOCK)
 
 
@@ -192,13 +214,14 @@ _PATTERNS = {}
 def _sign_patterns(n):
     """All nonzero {0, +2, -2} rows over n slots, sparsest first, capped.
 
-    Returns (rows, tiers): tiers are the (start, stop) row ranges that share
-    one nonzero count, in pool order.
+    Returns (rows, tiers): rows are float64 (the values are exact), and
+    tiers are the (start, stop) row ranges that share one nonzero count, in
+    pool order.
     """
     if n not in _PATTERNS:
         k = np.arange(1, 3 ** n)
         digits = (k[:, None] // 3 ** np.arange(n)) % 3
-        values = np.where(digits == 0, 0, np.where(digits == 1, 2, -2)).astype(np.int64)
+        values = np.where(digits == 0, 0.0, np.where(digits == 1, 2.0, -2.0))
         nonzero = (digits != 0).sum(axis=1)
         order = np.argsort(nonzero, kind="stable")
         rows = values[order][:_POOL_CAP]
@@ -207,7 +230,7 @@ def _sign_patterns(n):
     return _PATTERNS[n]
 
 
-def verify_adjust_block(coeffs, bits):
+def verify_adjust_block(coeffs, bits, ws=None):
     """Render one payload block to 8-bit pixels that reproduce bits on re-DCT.
 
     coeffs must already carry bits in its LSBs. Pixel rounding re-rolls the
@@ -220,24 +243,27 @@ def verify_adjust_block(coeffs, bits):
     clean the search re-anchors on an unseen candidate whose own offender
     set is wide, keeping later rounds' candidate pools large. At most 16
     rounds; returns (pixels, residual_errors) with failures reported rather
-    than raised.
+    than raised. ws is the _Workspace the pools are evaluated in; without
+    one the call makes its own.
 
     Candidates are rendered incrementally from the current block's samples
     (see _candidate_pixels). Only the render side takes that shortcut: a
     coefficient near a rounding tie (a DC term is the block sum / 8, so
     about one block in eight) recovers whichever way float noise in the
-    forward path sends it, so verify re-transforms the pixels through the
-    same forward DCT and quantize that extract uses. The render side must
-    still equal the full render, hence the tie guard.
+    forward path sends it, so verify reads parity through
+    blockdct.lsb_parity, the forward path extract uses. The render side
+    must still equal the full render, hence the tie guard.
     """
+    if ws is None:
+        ws = _Workspace()
     cur = np.asarray(coeffs, dtype=np.int64).reshape(BLOCK, BLOCK).copy()
-    bits = np.asarray(bits, dtype=np.int64).reshape(BLOCK, BLOCK)
+    bits = np.asarray(bits).reshape(BLOCK, BLOCK).astype(bool)
     seen = {cur.tobytes()}
     best_pixels = None
     best_residual = BLOCK * BLOCK + 1
     samples = _samples(cur)
     pix = _to_pixels(samples)
-    mask = _lsb_mismatch(pix[None], bits)[0]
+    mask = blockdct.lsb_parity(pix[None])[0] ^ bits
     for round_no in range(_MAX_ROUNDS + 1):
         wrong = int(mask.sum())
         if wrong < best_residual:
@@ -247,21 +273,20 @@ def verify_adjust_block(coeffs, bits):
             break
         offenders = np.flatnonzero(mask.ravel())[:_POOL_COEFFS]
         rows, tiers = _sign_patterns(len(offenders))
-        pixels = np.empty((len(rows), BLOCK, BLOCK))
-        masks = np.empty((len(rows), BLOCK, BLOCK), dtype=bool)
         clean = None
         for start, stop in tiers:
-            pixels[start:stop] = _candidate_pixels(cur, samples, offenders, rows[start:stop])
-            masks[start:stop] = _lsb_mismatch(pixels[start:stop], bits)
-            hits = np.flatnonzero(~masks[start:stop].any(axis=(1, 2)))
+            pixels = _candidate_pixels(cur, samples, offenders, rows[start:stop], ws, start)
+            masks = blockdct.lsb_parity(pixels, ws.work[:, start:stop], ws.masks[start:stop])
+            masks ^= bits
+            hits = np.flatnonzero(~masks.any(axis=(1, 2)))
             if hits.size:
-                clean = start + int(hits[0])
+                clean = pixels[int(hits[0])]
                 break
         if clean is not None:
             best_residual = 0
-            best_pixels = pixels[clean]
+            best_pixels = clean
             break
-        counts = masks.sum(axis=(1, 2))
+        counts = ws.masks[: len(rows)].sum(axis=(1, 2))
         wide_first = (np.flatnonzero(counts >= _MIN_FANOUT), np.argsort(-counts, kind="stable"))
         for k in np.concatenate(wide_first):
             cand = _nudged(cur, offenders, rows[k : k + 1])[0]
@@ -271,7 +296,8 @@ def verify_adjust_block(coeffs, bits):
             break  # every candidate was an anchor already
         cur = cand
         seen.add(cur.tobytes())
-        mask, pix = masks[k], pixels[k]
+        mask = ws.masks[k].copy()
+        pix = ws.pixels[k].reshape(BLOCK, BLOCK).copy()
         samples = _samples(cur)
     return best_pixels.astype(np.uint8), best_residual
 
@@ -303,8 +329,9 @@ def embed(cover, frame, mode="container"):
         return container, EmbedReport(used, payload_bits, score.psnr_db, 0)
     rendered = _render_blocks(coeffs)
     residual = 0
+    ws = _Workspace()
     for i in range(used):
-        pixels, errors = verify_adjust_block(coeffs[i], bit_blocks[i])
+        pixels, errors = verify_adjust_block(coeffs[i], bit_blocks[i], ws)
         rendered[i] = pixels
         residual += errors
     stego = Image8(blockdct.assemble(rendered, cover.width, cover.height).astype(np.uint8))
@@ -330,11 +357,10 @@ def read_frame(stego):
     Returns (header, table, payload bits).
     """
     if isinstance(stego, StegoContainer):
-        coeffs = stego.coeffs
+        lsbs = get_lsb(stego.coeffs)
     else:
-        coeffs = blockdct.quantize(blockdct.forward_dct(blockdct.partition(stego)))
-    bits = huffman.Bitstream(get_lsb(coeffs).reshape(-1).astype(np.uint8))
-    return framing.parse_frame(bits)
+        lsbs = blockdct.lsb_parity(blockdct.partition(stego))
+    return framing.parse_frame(huffman.Bitstream(lsbs.reshape(-1).astype(np.uint8)))
 
 
 def extract(stego):

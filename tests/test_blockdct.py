@@ -13,10 +13,12 @@ from dctsteg.blockdct import (
     dequantize,
     forward_dct,
     inverse_dct,
+    lsb_parity,
     partition,
     quantize,
     round_half_away,
 )
+from dctsteg.engine import get_lsb
 from dctsteg.errors import NotBlockAligned
 from support import literal_forward, literal_inverse, oracle_forward_many
 
@@ -118,6 +120,45 @@ def test_quantize_moves_at_most_half(coeffs):
     q = quantize(coeffs)
     assert np.abs(q - coeffs).max() <= 0.5
     assert np.array_equal(quantize(dequantize(q)), q)
+
+
+def _parity_cases(rng, n):
+    """n pixel blocks of each kind whose parity could go wrong."""
+    flat = np.repeat(rng.integers(0, 255, (n, 1, 1)), 64).reshape(n, 8, 8)
+    tie_sum = flat.astype(np.float64)  # pixel sum = 4 (mod 8): DC = sum / 8 on a .5 tie
+    tie_sum[:, 0, :4] += 1.0
+    slope = np.arange(64.0).reshape(8, 8) * 4.0
+    return {
+        "random pixels": rng.integers(0, 256, (n, 8, 8)).astype(np.float64),
+        "flat, DC on a tie": flat + 1.0 / 16.0,
+        "flat, negative DC on a tie": -flat - 1.0 / 16.0,
+        "flat, pixel sum on a tie": tie_sum,
+        "negative coefficients": 255.0 - slope + rng.integers(-3, 4, (n, 8, 8)),
+        "negative reals": rng.uniform(-300.0, 600.0, (n, 8, 8)),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 7, 2048])
+def test_lsb_parity_is_quantized_forward_lsb(n):
+    cases = _parity_cases(np.random.default_rng(n), n)
+    for kind, blocks in cases.items():
+        want = get_lsb(quantize(forward_dct(blocks))).astype(bool)
+        assert np.array_equal(lsb_parity(blocks), want), kind
+    negative = quantize(forward_dct(cases["negative coefficients"])) < 0
+    assert negative.any(axis=(1, 2)).all()
+
+
+def test_lsb_parity_in_workspace_views():
+    rng = np.random.default_rng(5)
+    work = np.empty((2, 2048, 8, 8))
+    out = np.empty((2048, 8, 8), dtype=bool)
+    for kind, blocks in _parity_cases(rng, 7).items():
+        before = blocks.copy()
+        want = get_lsb(quantize(forward_dct(blocks))).astype(bool)
+        assert np.array_equal(forward_dct(blocks, out=work[:, 100:107]), forward_dct(blocks))
+        got = lsb_parity(blocks, work[:, 100:107], out[100:107])
+        assert np.shares_memory(got, out) and np.array_equal(got, want), kind
+        assert np.array_equal(blocks, before), kind
 
 
 def test_partition_shapes_and_order():

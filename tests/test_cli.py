@@ -311,3 +311,21 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "embed" in proc.stdout and "extract" in proc.stdout
+
+
+def test_usage_errors_repeat_when_the_parser_is_reused(capsys, cover_path):
+    # The parser is built once per process; a parse must leave nothing behind.
+    def outcome(*argv):
+        try:
+            code = entry([str(a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    missing = outcome("embed", "--cover", cover_path)
+    assert missing[0] == 2 and missing[1] == ""
+    assert "the following arguments are required: --secret, --out" in missing[2]
+    assert outcome("capacity", "--cover", cover_path)[0] == 0
+    assert outcome("-v", "bogus")[0] == 2
+    assert outcome("embed", "--cover", cover_path) == missing

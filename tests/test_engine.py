@@ -1,5 +1,8 @@
 """Embedding engine tests: LSB plumbing, both artifact modes, verify/adjust."""
 
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -236,7 +239,9 @@ def test_candidate_render_equals_full_render_on_dc_ties():
         for start in (dc - 2, dc + 2):
             cur = np.zeros((8, 8), dtype=np.int64)
             cur[0, 0] = start
-            fast = engine._candidate_pixels(cur, engine._samples(cur), offenders, rows)
+            fast = engine._candidate_pixels(
+                cur, engine._samples(cur), offenders, rows, engine._Workspace(), 0
+            )
             full = engine._render_blocks(engine._nudged(cur, offenders, rows))
             differing += not np.array_equal(fast, full)
     assert differing == 0
@@ -251,6 +256,77 @@ def test_sign_pattern_tiers_partition_the_pool_by_nonzero_count():
         nonzero = [set((rows[a:b] != 0).sum(axis=1).tolist()) for a, b in tiers]
         assert all(len(counts) == 1 for counts in nonzero)
         assert [c.pop() for c in nonzero] == list(range(1, len(tiers) + 1))
+
+
+def _noise_cases(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        block = rng.integers(96, 161, (8, 8)).astype(np.float64)
+        bits = rng.integers(0, 2, (8, 8)).astype(np.int64)
+        yield set_lsb(quantize(forward_dct(block)), bits), bits
+
+
+def test_verify_adjust_in_a_workspace_allocates_no_pool_sized_arrays(monkeypatch):
+    # One 2048-row float64 temporary alone is 1 MB; a whole pool without a
+    # workspace peaks at 2.5-3.7 MB of traced allocation.
+    rounds = []
+    patterns = engine._sign_patterns
+    monkeypatch.setattr(engine, "_sign_patterns", lambda n: rounds.append(n) or patterns(n))
+    for n in range(1, 8):
+        patterns(n)  # the pattern cache is filled once per process
+    ws = engine._Workspace()
+    peaks = []
+    for coeffs, bits in _noise_cases(12, 12):
+        rounds.clear()
+        tracemalloc.start()
+        try:
+            _, residual = verify_adjust_block(coeffs, bits, ws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert residual == 0
+        if len(rounds) >= 2:
+            peaks.append(peak)
+    assert len(peaks) >= 3
+    assert max(peaks) < 512 * 1024
+
+
+def test_verify_adjust_results_outlive_the_workspace():
+    # Clamped blocks keep residual errors, so their result is an anchor from
+    # an earlier round, whose pool rows later rounds overwrite.
+    rng = np.random.default_rng(13)
+    cases = list(_noise_cases(13, 16))
+    for value in (0, 255, 0, 255):
+        bits = rng.integers(0, 2, (8, 8))
+        cases.append((set_lsb(_flat_coeffs(value), bits), bits))
+    ws = engine._Workspace()
+    kept = []
+    for coeffs, bits in cases:
+        pixels, residual = verify_adjust_block(coeffs, bits, ws)
+        assert not np.shares_memory(pixels, ws.pixels)
+        kept.append((pixels, pixels.copy(), residual, coeffs, bits))
+    assert any(residual for _, _, residual, _, _ in kept)
+    for pixels, snapshot, residual, coeffs, bits in kept:
+        assert np.array_equal(pixels, snapshot)
+        ref_pixels, ref_residual = reference_verify_adjust_block(coeffs, bits)
+        assert residual == ref_residual and np.array_equal(pixels, ref_pixels)
+
+
+def test_concurrent_spatial_embeds_match_sequential():
+    rng = np.random.default_rng(14)
+    jobs = [
+        (Image8(natural_cover(64, 64, seed)), build_frame(rng.bytes(100)))
+        for seed in (31, 32)
+    ]
+
+    def stego_bytes(job):
+        stego, report = embed(*job, mode="spatial8")
+        assert report.residual_bit_errors == 0
+        return stego.pixels.tobytes()
+
+    sequential = [stego_bytes(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        assert list(pool.map(stego_bytes, jobs)) == sequential
 
 
 def test_spatial_embed_extract_round_trip():
