@@ -7,7 +7,10 @@ per payload block, because rounding pixels to integers perturbs coefficient
 LSBs; residual errors are reported honestly instead of hidden.
 """
 
+import os
+import signal
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +21,7 @@ from .errors import (
     BadHeader,
     BadMagic,
     NotBlockAligned,
+    PayloadLengthMismatch,
     PayloadTooLarge,
     Truncated,
 )
@@ -302,6 +306,80 @@ def verify_adjust_block(coeffs, bits, ws=None):
     return best_pixels.astype(np.uint8), best_residual
 
 
+def _verify_blocks(coeffs, bit_blocks):
+    """verify_adjust_block over paired payload blocks in one workspace.
+
+    Returns (uint8 pixels (k,8,8), uint8 residual errors (k,)).
+    """
+    ws = _Workspace()
+    pixels = np.empty(bit_blocks.shape, dtype=np.uint8)
+    errors = np.empty(len(bit_blocks), dtype=np.uint8)
+    for i, (block, bits) in enumerate(zip(coeffs, bit_blocks)):
+        pixels[i], errors[i] = verify_adjust_block(block, bits, ws)
+    return pixels, errors
+
+
+def _can_fork(used):
+    """Split the search only where a second core runs it and forking is safe."""
+    return (
+        used >= 2
+        and hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and threading.active_count() == 1  # a fork copies no other thread
+    )
+
+
+def _verify_payload(coeffs, bit_blocks):
+    """_verify_blocks over all payload blocks, split over two processes.
+
+    Where _can_fork allows, one forked child searches the odd blocks and
+    sends its results down a pipe while this process searches the even
+    ones. No block's search reads another's, so the merge equals the serial
+    loop. A child that dies or sends a short result costs time, not
+    correctness: its blocks are searched here instead.
+    """
+    used = len(bit_blocks)
+    if not _can_fork(used):
+        return _verify_blocks(coeffs, bit_blocks)
+    for n in range(1, _POOL_COEFFS + 1):
+        _sign_patterns(n)  # built once here, inherited by the child
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                for part in _verify_blocks(coeffs[1::2], bit_blocks[1::2]):
+                    pipe.write(part.tobytes())
+            code = 0
+        finally:
+            os._exit(code)  # no exit handlers, no inherited buffers flushed
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            even = _verify_blocks(coeffs[0::2], bit_blocks[0::2])
+            data = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    _, status = os.waitpid(pid, 0)
+    odd_count = used // 2
+    size = odd_count * BLOCK * BLOCK
+    if status == 0 and len(data) == size + odd_count:
+        odd = (np.frombuffer(data, np.uint8, size).reshape(-1, BLOCK, BLOCK),
+               np.frombuffer(data, np.uint8, offset=size))
+    else:
+        odd = _verify_blocks(coeffs[1::2], bit_blocks[1::2])
+    pixels = np.empty(bit_blocks.shape, dtype=np.uint8)
+    errors = np.empty(used, dtype=np.uint8)
+    pixels[0::2], errors[0::2] = even
+    pixels[1::2], errors[1::2] = odd
+    return pixels, errors
+
+
 def embed(cover, frame, mode="container"):
     """Embed a payload frame into a cover image.
 
@@ -328,15 +406,10 @@ def embed(cover, frame, mode="container"):
         score = metrics.psnr(cover, render(container))
         return container, EmbedReport(used, payload_bits, score.psnr_db, 0)
     rendered = _render_blocks(coeffs)
-    residual = 0
-    ws = _Workspace()
-    for i in range(used):
-        pixels, errors = verify_adjust_block(coeffs[i], bit_blocks[i], ws)
-        rendered[i] = pixels
-        residual += errors
+    rendered[:used], errors = _verify_payload(coeffs[:used], bit_blocks)
     stego = Image8(blockdct.assemble(rendered, cover.width, cover.height).astype(np.uint8))
     score = metrics.psnr(cover, stego)
-    return stego, EmbedReport(used, payload_bits, score.psnr_db, residual)
+    return stego, EmbedReport(used, payload_bits, score.psnr_db, int(errors.sum()))
 
 
 def render(container):
@@ -366,4 +439,13 @@ def read_frame(stego):
 def extract(stego):
     """Recover (secret bytes, header) from a container or an 8-bit stego image."""
     header, table, payload = read_frame(stego)
-    return huffman.decode(payload, table, header.symbol_count), header
+    secret = huffman.decode(payload, table, header.symbol_count)
+    # decode stops after symbol_count codewords; a valid frame's payload ends there
+    counts = np.bincount(np.frombuffer(secret, dtype=np.uint8), minlength=256)
+    used = int(counts @ table.code_lengths)
+    if used != header.payload_bit_length:
+        raise PayloadLengthMismatch(
+            f"decoded {header.symbol_count} symbols from {used} of "
+            f"{header.payload_bit_length} payload bits"
+        )
+    return secret, header

@@ -60,6 +60,10 @@ class UnsupportedVersion(StegError):
     """Frame version is not understood."""
 
 
+class PayloadLengthMismatch(StegError):
+    """Decoded symbols do not fill exactly the payload bits the header declares."""
+
+
 class TruncatedFrame(StegError):
     """Frame holds fewer bits than its header promises."""
 

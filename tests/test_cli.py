@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dctsteg import KIND_IMAGE, Image8, embed, read_pgm, write_pgm
+from dctsteg import KIND_IMAGE, Image8, build_frame, embed, read_pgm, write_pgm
 from dctsteg.cli import entry
-from dctsteg.framing import TABLE_BITS, PayloadFrame, PayloadHeader
-from dctsteg.huffman import Bitstream
+from dctsteg.errors import StegError
+from dctsteg.framing import HEADER_BITS, TABLE_BITS, PayloadFrame, PayloadHeader
+from dctsteg.huffman import Bitstream, build_table, decode
 from support import natural_cover
 
 
@@ -302,6 +303,41 @@ def test_inspect_corrupt_kind_exit_4(capsys, tmp_path, cover_path):
     code, out, err = run_cli(capsys, "inspect", "--in", out_path)
     assert code == 4 and out == ""
     assert "unknown secret kind 5" in err and "magic" not in err
+
+
+def test_payload_flip_that_decodes_other_bytes_exit_4(capsys, tmp_path, cover_path):
+    secret = b"abracadabra, " * 8
+    table = build_table(secret)
+    frame = build_frame(secret)
+    start = HEADER_BITS + TABLE_BITS
+    payload = frame.bits.bits[start:start + frame.header.payload_bit_length]
+    # the first payload bit whose flip still decodes every symbol, to other
+    # bytes that fill fewer bits than the header declares
+    for flip in range(payload.size):
+        bits = payload.copy()
+        bits[flip] ^= 1
+        try:
+            other = decode(Bitstream(bits), table, len(secret))
+        except StegError:
+            continue
+        if other != secret:
+            break
+    else:
+        pytest.fail("no payload flip decodes to other bytes")
+    secret_path = tmp_path / "secret.bin"
+    secret_path.write_bytes(secret)
+    stego = tmp_path / "stego.dsc"
+    run_cli(capsys, "embed", "--cover", cover_path, "--secret", secret_path, "--out", stego)
+    data = bytearray(stego.read_bytes())
+    # frame bit i is the LSB of coefficient i, the low byte of its 2-byte
+    # big-endian word after the 8-byte container header
+    data[8 + 2 * (start + flip) + 1] ^= 1
+    stego.write_bytes(bytes(data))
+    recovered = tmp_path / "recovered.bin"
+    code, out, err = run_cli(capsys, "extract", "--in", stego, "--out", recovered)
+    assert code == 4 and out == ""
+    assert f"of {payload.size} payload bits" in err
+    assert not recovered.exists()
 
 
 def test_console_script_runs():

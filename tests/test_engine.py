@@ -1,5 +1,7 @@
 """Embedding engine tests: LSB plumbing, both artifact modes, verify/adjust."""
 
+import os
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -17,7 +19,7 @@ from dctsteg import (
     extract,
     render,
 )
-from dctsteg.blockdct import forward_dct, partition, quantize
+from dctsteg.blockdct import assemble, forward_dct, partition, quantize
 from dctsteg.engine import get_lsb, set_lsb, verify_adjust_block
 from dctsteg.framing import PayloadFrame, PayloadHeader
 from dctsteg.huffman import Bitstream
@@ -327,6 +329,134 @@ def test_concurrent_spatial_embeds_match_sequential():
     sequential = [stego_bytes(job) for job in jobs]
     with ThreadPoolExecutor(max_workers=2) as pool:
         assert list(pool.map(stego_bytes, jobs)) == sequential
+
+
+def _near_full_odd(size, seed):
+    """A natural cover and a near-full random secret frame over an odd block count."""
+    rng = np.random.default_rng(seed)
+    n = capacity(size, size) // 8
+    while True:
+        frame = build_frame(rng.bytes(n))
+        if frame.bit_length <= size * size and frame.bit_length // 64 % 2:
+            return Image8(natural_cover(size, size, seed)), frame
+        n -= 3
+
+
+def _serial_spatial8(cover, frame):
+    """spatial8 pixel bytes from a plain loop over verify_adjust_block."""
+    bit_blocks = frame.bits.bits.reshape(-1, 8, 8).astype(np.int64)
+    used = len(bit_blocks)
+    coeffs = quantize(forward_dct(partition(cover)))
+    coeffs[:used] = set_lsb(coeffs[:used], bit_blocks)
+    rendered = engine._render_blocks(coeffs)
+    for i in range(used):
+        rendered[i], _ = verify_adjust_block(coeffs[i], bit_blocks[i])
+    return assemble(rendered, cover.width, cover.height).astype(np.uint8).tobytes()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Pids of the processes that called os.fork during the test."""
+    calls = []
+    real_fork = os.fork
+
+    def counting_fork():
+        calls.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+def _spatial8_bytes(cover, frame):
+    stego, report = embed(cover, frame, mode="spatial8")
+    assert report.residual_bit_errors == 0
+    return stego.pixels.tobytes()
+
+
+@pytest.mark.parametrize("size, seed", [(64, 61), (128, 62)])
+def test_split_embed_equals_serial_search(size, seed, forks):
+    cover, frame = _near_full_odd(size, seed)
+    used = frame.bit_length // 64
+    assert used % 2 == 1 and used * 64 > 0.9 * size * size
+    assert _spatial8_bytes(cover, frame) == _serial_spatial8(cover, frame)
+    assert len(forks) == engine._can_fork(used)
+
+
+@pytest.mark.parametrize("why", ["one cpu", "thread alive", "no fork"])
+def test_serial_fallback_gives_the_split_bytes(why, monkeypatch, forks):
+    cover, frame = _near_full_odd(64, 63)
+    split = _spatial8_bytes(cover, frame)
+    forks.clear()
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    if why == "one cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif why == "thread alive":
+        thread.start()
+    else:
+        monkeypatch.delattr(os, "fork")
+    try:
+        assert _spatial8_bytes(cover, frame) == split
+    finally:
+        release.set()
+        if why == "thread alive":
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+    assert forks == []
+
+
+@pytest.mark.parametrize("failure", ["raises", "sends nothing"])
+def test_failed_child_costs_time_not_bytes(failure, monkeypatch, capfd, forks):
+    cover, frame = _near_full_odd(64, 64)
+    split = _spatial8_bytes(cover, frame)
+    parent = os.getpid()
+    search = engine.verify_adjust_block
+
+    def flaky(*args):
+        if os.getpid() != parent:
+            if failure == "raises":
+                raise RuntimeError("child search failed")
+            os._exit(0)  # a clean exit before the results are written
+        return search(*args)
+
+    monkeypatch.setattr(engine, "verify_adjust_block", flaky)
+    capfd.readouterr()
+    forks.clear()
+    assert _spatial8_bytes(cover, frame) == split
+    assert len(forks) == engine._can_fork(frame.bit_length // 64)
+    assert capfd.readouterr() == ("", "")  # the child printed nothing
+
+
+def test_embed_leaves_no_child_and_no_open_fd(forks):
+    cover, frame = _near_full_odd(64, 66)
+    fds = len(os.listdir("/proc/self/fd"))
+    _spatial8_bytes(cover, frame)
+    assert len(forks) == engine._can_fork(frame.bit_length // 64)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+def test_interrupted_embed_kills_and_reaps_the_child(monkeypatch, forks):
+    cover, frame = _near_full_odd(64, 67)
+    parent = os.getpid()
+    search = engine.verify_adjust_block
+    parent_calls = []
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            parent_calls.append(1)
+            if len(parent_calls) == 3:
+                raise KeyboardInterrupt
+        return search(*args)
+
+    monkeypatch.setattr(engine, "verify_adjust_block", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        embed(cover, frame, mode="spatial8")
+    assert len(forks) == engine._can_fork(frame.bit_length // 64)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_spatial_embed_extract_round_trip():
