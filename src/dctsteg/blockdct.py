@@ -90,22 +90,25 @@ def quantize(coeffs):
 def lsb_parity(blocks, work=None, out=None):
     """Bit 0 of the quantized coefficients of (n, 8, 8) pixel blocks, as bool.
 
-    Bit for bit get_lsb(quantize(forward_dct(blocks))): the same products
-    and the same half-away rounding, done in place, with parity read off the
-    float (exact for coefficients this small). Verify and extract both read
-    parity here, so they share one forward path. work is an optional
-    caller-owned (2, n, 8, 8) float64 buffer and out an (n, 8, 8) bool one.
+    Bit for bit get_lsb(quantize(forward_dct(blocks))): the same products,
+    then floor(|c| + 0.5), the magnitude of the half-away rounding (its sum
+    c + copysign(0.5, c) is the same float with the sign flipped). An int32
+    cast floors that sum, and bit 0 of the integer is the parity, exact for
+    |c| < 2**31. Verify and extract both read parity here, so they share one
+    forward path. work is an optional caller-owned (2, n, 8, 8) float64
+    buffer, whose work[0] also holds the integers, and out an (n, 8, 8) bool
+    one.
     """
     if work is None:
         work = np.empty((2, *np.shape(blocks)))
+    if out is None:
+        out = np.empty(np.shape(blocks), dtype=bool)
     coeffs = forward_dct(blocks, out=work)
-    scratch = work[0]
-    np.copysign(0.5, coeffs, out=scratch)
-    np.add(coeffs, scratch, out=coeffs)
-    np.trunc(coeffs, out=coeffs)
-    np.multiply(coeffs, 0.5, out=coeffs)
-    np.floor(coeffs, out=scratch)
-    return np.not_equal(coeffs, scratch, out=out)
+    np.abs(coeffs, out=coeffs)
+    coeffs += 0.5
+    rounded = work[0].reshape(-1).view(np.int32)[: coeffs.size].reshape(coeffs.shape)
+    np.copyto(rounded, coeffs, casting="unsafe")
+    return np.bitwise_and(rounded, 1, out=out, casting="unsafe")
 
 
 def dequantize(coeffs):

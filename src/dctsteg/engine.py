@@ -7,10 +7,8 @@ per payload block, because rounding pixels to integers perturbs coefficient
 LSBs; residual errors are reported honestly instead of hidden.
 """
 
-import os
-import signal
+import functools
 import struct
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,18 +158,31 @@ class _Workspace:
     to the OS and faulted in again, which cost more than the arithmetic.
     Rows [start, stop) of each buffer belong to the pool's candidates
     start..stop-1; views into them are overwritten by the next pool.
+    Column 0 of lift is always 1.
     """
 
-    __slots__ = ("pixels", "work", "ties", "masks")
+    __slots__ = ("lift", "pixels", "work", "masks")
 
     def __init__(self):
+        self.lift = np.ones((_POOL_CAP, _POOL_COEFFS + 1))
         self.pixels = np.empty((_POOL_CAP, BLOCK * BLOCK))
         self.work = np.empty((2, _POOL_CAP, BLOCK, BLOCK))
-        self.ties = np.empty((_POOL_CAP, BLOCK * BLOCK), dtype=bool)
         self.masks = np.empty((_POOL_CAP, BLOCK, BLOCK), dtype=bool)
 
 
-def _candidate_pixels(cur, samples, offenders, rows, ws, start):
+def _pool_factor(offenders, samples):
+    """Right factor of a pool's lifted samples, and whether any can clamp.
+
+    Row 0 is cur's samples + 0.5 + _TIE_EPS and row 1 + j the basis image
+    of offender j, so [1 | pattern row] @ factor is a candidate's samples
+    + 0.5 + _TIE_EPS. No candidate's sample lies further than _REACH from
+    cur's, so a pool clamps only near 0 or 255.
+    """
+    factor = np.concatenate((samples.reshape(1, -1) + (0.5 + _TIE_EPS), _BASIS[offenders]))
+    return factor, bool(samples.min() < _REACH or samples.max() > 255.0 - _REACH)
+
+
+def _candidate_pixels(cur, samples, offenders, rows, ws, start, pool=None):
     """Pixels of cur nudged by each pattern row on the offender slots, (k,8,8).
 
     Written to the workspace rows from start on. Samples are cur's own
@@ -179,24 +190,27 @@ def _candidate_pixels(cur, samples, offenders, rows, ws, start):
     inverse DCT per candidate. That sum differs from the full render by
     float noise, which only matters where a sample sits on a .5 rounding
     tie; candidates with such a sample are re-rendered through
-    _render_blocks, so every pixel equals the full render's.
+    _render_blocks, so every pixel equals the full render's. pool is
+    _pool_factor(offenders, samples), built once per round for all its
+    passes; without it the call builds its own.
     """
+    factor, clamps = pool or _pool_factor(offenders, samples)
     stop = start + len(rows)
-    values = ws.work[0, start:stop].reshape(-1, BLOCK * BLOCK)
+    left = ws.lift[start:stop, : len(offenders) + 1]
+    left[:, 1:] = rows
+    lifted = ws.work[0, start:stop].reshape(-1, BLOCK * BLOCK)
     pixels = ws.pixels[start:stop]
-    np.matmul(rows, _BASIS[offenders], out=values)
-    values += samples.reshape(1, -1)
-    np.add(values, 0.5, out=pixels)
-    np.floor(pixels, out=pixels)
-    values -= pixels  # a tie when |v - floor(v + 0.5)| is within eps of 0.5
-    np.abs(values, out=values)
-    ties = np.greater(values, 0.5 - _TIE_EPS, out=ws.ties[start:stop])
-    np.clip(pixels, 0.0, 255.0, out=pixels)
-    ties = np.flatnonzero(ties.any(axis=1))
-    if ties.size:
+    # each sample v as v + 0.5 + eps, whose floor is floor(v + 0.5) unless v is on a tie
+    np.matmul(left, factor, out=lifted)
+    np.floor(lifted, out=pixels)
+    lifted -= pixels  # below 2 eps where v is within eps of a tie
+    if lifted.min() < 2 * _TIE_EPS:
+        ties = np.flatnonzero((lifted < 2 * _TIE_EPS).any(axis=1))
         pixels[ties] = _render_blocks(_nudged(cur, offenders, rows[ties])).reshape(
             -1, BLOCK * BLOCK
         )
+    if clamps:
+        np.clip(pixels, 0.0, 255.0, out=pixels)
     return pixels.reshape(-1, BLOCK, BLOCK)
 
 
@@ -211,6 +225,12 @@ _POOL_COEFFS = 7  # offenders enumerated per round (3^7 - 1 = 2186 patterns)
 _POOL_CAP = 2048  # candidate perturbations evaluated per round
 _MIN_FANOUT = 7   # re-anchor where the next offender set is at least this big
 _MAX_ROUNDS = 16
+# no candidate's sample lies further than _REACH from its anchor's: pattern
+# rows move at most _POOL_COEFFS coefficients, by 2 each
+_REACH = 2.0 * np.sort(np.abs(_BASIS), axis=0)[-_POOL_COEFFS:].sum(axis=0).max()
+_ANCHOR_SCAN = 32  # leading candidates whose offenders are counted first
+_MIN_PASS = 128  # candidates verified in one pass at least
+_RECORD = np.dtype((np.void, BLOCK * BLOCK))  # one block's 64 bools, compared at once
 
 _PATTERNS = {}
 
@@ -234,6 +254,44 @@ def _sign_patterns(n):
     return _PATTERNS[n]
 
 
+@functools.cache
+def _passes(n):
+    """_sign_patterns(n) tiers grouped into passes of at least _MIN_PASS
+    candidates, in pool order.
+
+    The first clean candidate in pool order is the same whichever tiers
+    share a pass; a pass costs some 30 array calls whatever its size, and
+    sparse tiers rarely hold a clean candidate.
+    """
+    passes = []
+    for start, stop in _sign_patterns(n)[1]:
+        if passes and passes[-1][1] - passes[-1][0] < _MIN_PASS:
+            start = passes.pop()[0]
+        passes.append((start, stop))
+    return passes
+
+
+def _anchor(cur, offenders, rows, bits, seen, ws):
+    """Pool index of the next anchor, or None where every candidate was one.
+
+    The first unseen candidate with at least _MIN_FANOUT offenders, else the
+    unseen one with the most (the first among equals); ws.masks holds the
+    parities of the whole pool. Offenders are counted on the leading
+    _ANCHOR_SCAN candidates first, where that anchor nearly always is, and
+    on the whole pool only where it is not.
+    """
+    size = len(rows)
+    for stop in sorted({min(_ANCHOR_SCAN, size), size}):
+        counts = (ws.masks[:stop] ^ bits).sum(axis=(1, 2))
+        order = np.flatnonzero(counts >= _MIN_FANOUT)
+        if stop == size:
+            order = np.concatenate((order, np.argsort(-counts, kind="stable")))
+        for k in order:
+            if _nudged(cur, offenders, rows[k : k + 1]).tobytes() not in seen:
+                return k
+    return None
+
+
 def verify_adjust_block(coeffs, bits, ws=None):
     """Render one payload block to 8-bit pixels that reproduce bits on re-DCT.
 
@@ -241,11 +299,12 @@ def verify_adjust_block(coeffs, bits, ws=None):
     recovered parity of all 64 coefficients at once, so there is no way to
     repair one coefficient in isolation; instead each round renders
     candidate +-2 nudges of the currently offending coefficients (LSBs are
-    preserved by even steps) and commits the sparsest clean candidate. The
-    pool is verified one nonzero-count tier at a time, sparsest first, and
-    stops at the first tier holding a clean candidate. When no candidate is
-    clean the search re-anchors on an unseen candidate whose own offender
-    set is wide, keeping later rounds' candidate pools large. At most 16
+    preserved by even steps) and commits the first clean candidate in pool
+    order, the sparsest. The pool is verified in passes of whole
+    nonzero-count tiers (see _passes), sparsest first, and stops at the
+    first pass holding a clean candidate. When no candidate is clean the
+    search re-anchors on an unseen candidate whose own offender set is wide
+    (see _anchor), keeping later rounds' candidate pools large. At most 16
     rounds; returns (pixels, residual_errors) with failures reported rather
     than raised. ws is the _Workspace the pools are evaluated in; without
     one the call makes its own.
@@ -262,6 +321,7 @@ def verify_adjust_block(coeffs, bits, ws=None):
         ws = _Workspace()
     cur = np.asarray(coeffs, dtype=np.int64).reshape(BLOCK, BLOCK).copy()
     bits = np.asarray(bits).reshape(BLOCK, BLOCK).astype(bool)
+    bit_record = bits.reshape(-1).view(_RECORD)
     seen = {cur.tobytes()}
     best_pixels = None
     best_residual = BLOCK * BLOCK + 1
@@ -276,108 +336,24 @@ def verify_adjust_block(coeffs, bits, ws=None):
         if wrong == 0 or round_no == _MAX_ROUNDS:
             break
         offenders = np.flatnonzero(mask.ravel())[:_POOL_COEFFS]
-        rows, tiers = _sign_patterns(len(offenders))
-        clean = None
-        for start, stop in tiers:
-            pixels = _candidate_pixels(cur, samples, offenders, rows[start:stop], ws, start)
-            masks = blockdct.lsb_parity(pixels, ws.work[:, start:stop], ws.masks[start:stop])
-            masks ^= bits
-            hits = np.flatnonzero(~masks.any(axis=(1, 2)))
+        rows, _ = _sign_patterns(len(offenders))
+        pool = _pool_factor(offenders, samples)
+        for start, stop in _passes(len(offenders)):
+            pixels = _candidate_pixels(cur, samples, offenders, rows[start:stop], ws, start, pool)
+            parity = blockdct.lsb_parity(pixels, ws.work[:, start:stop], ws.masks[start:stop])
+            # clean where a candidate's 64 parities, as one record, are bits
+            hits = np.flatnonzero(parity.reshape(-1, BLOCK * BLOCK).view(_RECORD) == bit_record)
             if hits.size:
-                clean = pixels[int(hits[0])]
-                break
-        if clean is not None:
-            best_residual = 0
-            best_pixels = clean
-            break
-        counts = ws.masks[: len(rows)].sum(axis=(1, 2))
-        wide_first = (np.flatnonzero(counts >= _MIN_FANOUT), np.argsort(-counts, kind="stable"))
-        for k in np.concatenate(wide_first):
-            cand = _nudged(cur, offenders, rows[k : k + 1])[0]
-            if cand.tobytes() not in seen:
-                break
-        else:
+                return pixels[hits[0]].astype(np.uint8), 0
+        k = _anchor(cur, offenders, rows, bits, seen, ws)
+        if k is None:
             break  # every candidate was an anchor already
-        cur = cand
+        cur = _nudged(cur, offenders, rows[k : k + 1])[0]
         seen.add(cur.tobytes())
-        mask = ws.masks[k].copy()
+        mask = ws.masks[k] ^ bits
         pix = ws.pixels[k].reshape(BLOCK, BLOCK).copy()
         samples = _samples(cur)
     return best_pixels.astype(np.uint8), best_residual
-
-
-def _verify_blocks(coeffs, bit_blocks):
-    """verify_adjust_block over paired payload blocks in one workspace.
-
-    Returns (uint8 pixels (k,8,8), uint8 residual errors (k,)).
-    """
-    ws = _Workspace()
-    pixels = np.empty(bit_blocks.shape, dtype=np.uint8)
-    errors = np.empty(len(bit_blocks), dtype=np.uint8)
-    for i, (block, bits) in enumerate(zip(coeffs, bit_blocks)):
-        pixels[i], errors[i] = verify_adjust_block(block, bits, ws)
-    return pixels, errors
-
-
-def _can_fork(used):
-    """Split the search only where a second core runs it and forking is safe."""
-    return (
-        used >= 2
-        and hasattr(os, "fork")
-        and hasattr(os, "sched_getaffinity")
-        and len(os.sched_getaffinity(0)) >= 2
-        and threading.active_count() == 1  # a fork copies no other thread
-    )
-
-
-def _verify_payload(coeffs, bit_blocks):
-    """_verify_blocks over all payload blocks, split over two processes.
-
-    Where _can_fork allows, one forked child searches the odd blocks and
-    sends its results down a pipe while this process searches the even
-    ones. No block's search reads another's, so the merge equals the serial
-    loop. A child that dies or sends a short result costs time, not
-    correctness: its blocks are searched here instead.
-    """
-    used = len(bit_blocks)
-    if not _can_fork(used):
-        return _verify_blocks(coeffs, bit_blocks)
-    for n in range(1, _POOL_COEFFS + 1):
-        _sign_patterns(n)  # built once here, inherited by the child
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                for part in _verify_blocks(coeffs[1::2], bit_blocks[1::2]):
-                    pipe.write(part.tobytes())
-            code = 0
-        finally:
-            os._exit(code)  # no exit handlers, no inherited buffers flushed
-    os.close(write_fd)
-    try:
-        with open(read_fd, "rb") as pipe:
-            even = _verify_blocks(coeffs[0::2], bit_blocks[0::2])
-            data = pipe.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        raise
-    _, status = os.waitpid(pid, 0)
-    odd_count = used // 2
-    size = odd_count * BLOCK * BLOCK
-    if status == 0 and len(data) == size + odd_count:
-        odd = (np.frombuffer(data, np.uint8, size).reshape(-1, BLOCK, BLOCK),
-               np.frombuffer(data, np.uint8, offset=size))
-    else:
-        odd = _verify_blocks(coeffs[1::2], bit_blocks[1::2])
-    pixels = np.empty(bit_blocks.shape, dtype=np.uint8)
-    errors = np.empty(used, dtype=np.uint8)
-    pixels[0::2], errors[0::2] = even
-    pixels[1::2], errors[1::2] = odd
-    return pixels, errors
 
 
 def embed(cover, frame, mode="container"):
@@ -406,10 +382,15 @@ def embed(cover, frame, mode="container"):
         score = metrics.psnr(cover, render(container))
         return container, EmbedReport(used, payload_bits, score.psnr_db, 0)
     rendered = _render_blocks(coeffs)
-    rendered[:used], errors = _verify_payload(coeffs[:used], bit_blocks)
+    residual = 0
+    ws = _Workspace()
+    for i in range(used):
+        pixels, errors = verify_adjust_block(coeffs[i], bit_blocks[i], ws)
+        rendered[i] = pixels
+        residual += errors
     stego = Image8(blockdct.assemble(rendered, cover.width, cover.height).astype(np.uint8))
     score = metrics.psnr(cover, stego)
-    return stego, EmbedReport(used, payload_bits, score.psnr_db, int(errors.sum()))
+    return stego, EmbedReport(used, payload_bits, score.psnr_db, residual)
 
 
 def render(container):

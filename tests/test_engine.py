@@ -1,7 +1,5 @@
 """Embedding engine tests: LSB plumbing, both artifact modes, verify/adjust."""
 
-import os
-import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -260,6 +258,18 @@ def test_sign_pattern_tiers_partition_the_pool_by_nonzero_count():
         assert [c.pop() for c in nonzero] == list(range(1, len(tiers) + 1))
 
 
+def test_passes_group_whole_tiers_in_pool_order():
+    for n in range(1, 8):
+        rows, tiers = engine._sign_patterns(n)
+        passes = engine._passes(n)
+        bounds = {start for start, _ in tiers} | {len(rows)}
+        assert passes[0][0] == 0 and passes[-1][1] == len(rows)
+        for (_, stop), (start, _) in zip(passes, passes[1:]):
+            assert stop == start
+        assert all(start in bounds and stop in bounds for start, stop in passes)
+        assert all(stop - start >= engine._MIN_PASS for start, stop in passes[:-1])
+
+
 def _noise_cases(seed, count):
     rng = np.random.default_rng(seed)
     for _ in range(count):
@@ -331,132 +341,75 @@ def test_concurrent_spatial_embeds_match_sequential():
         assert list(pool.map(stego_bytes, jobs)) == sequential
 
 
-def _near_full_odd(size, seed):
-    """A natural cover and a near-full random secret frame over an odd block count."""
-    rng = np.random.default_rng(seed)
-    n = capacity(size, size) // 8
-    while True:
-        frame = build_frame(rng.bytes(n))
-        if frame.bit_length <= size * size and frame.bit_length // 64 % 2:
-            return Image8(natural_cover(size, size, seed)), frame
-        n -= 3
-
-
-def _serial_spatial8(cover, frame):
-    """spatial8 pixel bytes from a plain loop over verify_adjust_block."""
+def test_spatial8_embed_equals_the_reference_search_on_a_near_full_cover():
+    rng = np.random.default_rng(61)
+    cover = Image8(natural_cover(64, 64, 61))
+    frame = build_frame(rng.bytes(capacity(64, 64) * 93 // 800))
     bit_blocks = frame.bits.bits.reshape(-1, 8, 8).astype(np.int64)
-    used = len(bit_blocks)
-    coeffs = quantize(forward_dct(partition(cover)))
-    coeffs[:used] = set_lsb(coeffs[:used], bit_blocks)
-    rendered = engine._render_blocks(coeffs)
-    for i in range(used):
-        rendered[i], _ = verify_adjust_block(coeffs[i], bit_blocks[i])
-    return assemble(rendered, cover.width, cover.height).astype(np.uint8).tobytes()
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """Pids of the processes that called os.fork during the test."""
-    calls = []
-    real_fork = os.fork
-
-    def counting_fork():
-        calls.append(os.getpid())
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return calls
-
-
-def _spatial8_bytes(cover, frame):
+    assert len(bit_blocks) >= 56  # of 64 blocks
     stego, report = embed(cover, frame, mode="spatial8")
-    assert report.residual_bit_errors == 0
-    return stego.pixels.tobytes()
+    coeffs = quantize(forward_dct(partition(cover)))
+    coeffs[: len(bit_blocks)] = set_lsb(coeffs[: len(bit_blocks)], bit_blocks)
+    rendered = engine._render_blocks(coeffs)
+    residual = 0
+    for i, bits in enumerate(bit_blocks):
+        rendered[i], errors = reference_verify_adjust_block(coeffs[i], bits)
+        residual += errors
+    assert report.residual_bit_errors == residual
+    assert np.array_equal(stego.pixels, assemble(rendered, 64, 64).astype(np.uint8))
 
 
-@pytest.mark.parametrize("size, seed", [(64, 61), (128, 62)])
-def test_split_embed_equals_serial_search(size, seed, forks):
-    cover, frame = _near_full_odd(size, seed)
-    used = frame.bit_length // 64
-    assert used % 2 == 1 and used * 64 > 0.9 * size * size
-    assert _spatial8_bytes(cover, frame) == _serial_spatial8(cover, frame)
-    assert len(forks) == engine._can_fork(used)
+def test_candidate_render_equals_full_render_near_the_clamps():
+    # Pools whose samples come within _REACH of 0 or 255 are clipped, the
+    # others skip the clip; both must equal the full render.
+    rng = np.random.default_rng(71)
+    rows, _ = engine._sign_patterns(7)
+    ws = engine._Workspace()
+    for level in (0, 2, 5, 128, 250, 253, 255):
+        for _ in range(3):
+            block = np.clip(level + rng.integers(-4, 5, (8, 8)), 0, 255).astype(np.float64)
+            cur = quantize(forward_dct(block))
+            offenders = np.sort(rng.choice(64, 7, replace=False))
+            fast = engine._candidate_pixels(cur, engine._samples(cur), offenders, rows, ws, 0)
+            full = engine._render_blocks(engine._nudged(cur, offenders, rows))
+            assert np.array_equal(fast, full), level
+            assert np.abs(rows @ engine._BASIS[offenders]).max() <= engine._REACH
 
 
-@pytest.mark.parametrize("why", ["one cpu", "thread alive", "no fork"])
-def test_serial_fallback_gives_the_split_bytes(why, monkeypatch, forks):
-    cover, frame = _near_full_odd(64, 63)
-    split = _spatial8_bytes(cover, frame)
-    forks.clear()
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait)
-    if why == "one cpu":
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    elif why == "thread alive":
-        thread.start()
-    else:
-        monkeypatch.delattr(os, "fork")
-    try:
-        assert _spatial8_bytes(cover, frame) == split
-    finally:
-        release.set()
-        if why == "thread alive":
-            thread.join(timeout=10)
-            assert not thread.is_alive()
-    assert forks == []
+def _whole_pool_anchor(cur, offenders, rows, bits, seen, parities):
+    counts = (parities ^ bits).sum(axis=(1, 2))
+    wide_first = (np.flatnonzero(counts >= 7), np.argsort(-counts, kind="stable"))
+    for k in np.concatenate(wide_first):
+        if engine._nudged(cur, offenders, rows[k : k + 1]).tobytes() not in seen:
+            return k
+    return None
 
 
-@pytest.mark.parametrize("failure", ["raises", "sends nothing"])
-def test_failed_child_costs_time_not_bytes(failure, monkeypatch, capfd, forks):
-    cover, frame = _near_full_odd(64, 64)
-    split = _spatial8_bytes(cover, frame)
-    parent = os.getpid()
-    search = engine.verify_adjust_block
-
-    def flaky(*args):
-        if os.getpid() != parent:
-            if failure == "raises":
-                raise RuntimeError("child search failed")
-            os._exit(0)  # a clean exit before the results are written
-        return search(*args)
-
-    monkeypatch.setattr(engine, "verify_adjust_block", flaky)
-    capfd.readouterr()
-    forks.clear()
-    assert _spatial8_bytes(cover, frame) == split
-    assert len(forks) == engine._can_fork(frame.bit_length // 64)
-    assert capfd.readouterr() == ("", "")  # the child printed nothing
-
-
-def test_embed_leaves_no_child_and_no_open_fd(forks):
-    cover, frame = _near_full_odd(64, 66)
-    fds = len(os.listdir("/proc/self/fd"))
-    _spatial8_bytes(cover, frame)
-    assert len(forks) == engine._can_fork(frame.bit_length // 64)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert len(os.listdir("/proc/self/fd")) == fds
-
-
-def test_interrupted_embed_kills_and_reaps_the_child(monkeypatch, forks):
-    cover, frame = _near_full_odd(64, 67)
-    parent = os.getpid()
-    search = engine.verify_adjust_block
-    parent_calls = []
-
-    def interrupted(*args):
-        if os.getpid() == parent:
-            parent_calls.append(1)
-            if len(parent_calls) == 3:
-                raise KeyboardInterrupt
-        return search(*args)
-
-    monkeypatch.setattr(engine, "verify_adjust_block", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        embed(cover, frame, mode="spatial8")
-    assert len(forks) == engine._can_fork(frame.bit_length // 64)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+@pytest.mark.parametrize(
+    "case", ["wide in the scan", "scan's wide ones seen", "none wide", "all seen"]
+)
+def test_anchor_scan_picks_what_counting_the_whole_pool_picks(case):
+    rng = np.random.default_rng(72)
+    rows, _ = engine._sign_patterns(7)
+    offenders = np.arange(7)
+    cur = np.zeros((8, 8), dtype=np.int64)
+    bits = rng.integers(0, 2, (8, 8)).astype(bool)
+    counts = rng.integers(0, 7, len(rows))
+    if case != "none wide":
+        counts[[5, 20, 900, 1500]] = [9, 7, 8, 12]
+    # candidate k's parity misses bits on its first counts[k] coefficients
+    parities = bits ^ (np.arange(64) < counts[:, None]).reshape(-1, 8, 8)
+    seen = {cur.tobytes()}
+    if case == "scan's wide ones seen":
+        seen |= {engine._nudged(cur, offenders, rows[k : k + 1]).tobytes() for k in (5, 20)}
+    if case == "all seen":
+        seen |= {c.tobytes() for c in engine._nudged(cur, offenders, rows)}
+    ws = engine._Workspace()
+    ws.masks[: len(rows)] = parities
+    want = _whole_pool_anchor(cur, offenders, rows, bits, seen, parities)
+    assert engine._anchor(cur, offenders, rows, bits, seen, ws) == want
+    assert want == {"wide in the scan": 5, "scan's wide ones seen": 900,
+                    "none wide": np.argmax(counts), "all seen": None}[case]
 
 
 def test_spatial_embed_extract_round_trip():
