@@ -5,9 +5,9 @@ The transform is the matrix form of
     F(u,v) = 1/4 C(u)C(v) sum_x sum_y f(x,y) cos((2x+1)u pi/16) cos((2y+1)v pi/16)
 
 with C(0) = 1/sqrt(2) and C(k) = 1 otherwise, i.e. F = M b M^T for the basis
-matrix M below. All operations accept a single (8, 8) block or an (n, 8, 8)
-stack and always evaluate through the same batched code path, so results are
-bit-identical regardless of how work is grouped.
+matrix M below. The transforms accept a single (8, 8) block or an (n, 8, 8)
+stack. Every path computes a block with the same two matrix products, so
+results are bit-identical regardless of how work is grouped.
 """
 
 import numpy as np
@@ -109,8 +109,3 @@ def lsb_parity(blocks, work=None, out=None):
     rounded = work[0].reshape(-1).view(np.int32)[: coeffs.size].reshape(coeffs.shape)
     np.copyto(rounded, coeffs, casting="unsafe")
     return np.bitwise_and(rounded, 1, out=out, casting="unsafe")
-
-
-def dequantize(coeffs):
-    """Exact widening of integer coefficients back to reals."""
-    return np.asarray(coeffs, dtype=np.int64).astype(np.float64)

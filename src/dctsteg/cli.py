@@ -9,6 +9,7 @@ bit errors (no artifact is written).
 import argparse
 import functools
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -28,49 +29,34 @@ def _note(args, message):
         print(message, file=sys.stderr)
 
 
-def _read_file(path):
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
-def _write_file(path, data):
-    with open(path, "wb") as fh:
-        fh.write(data)
-
-
-def _load_image8(path):
-    img = read_pgm(_read_file(path))
+def _load_image8(path, data=None):
+    """The 8-bit PGM at path; data, where given, is that file's bytes."""
+    img = read_pgm(Path(path).read_bytes() if data is None else data)
     if not isinstance(img, Image8):
-        raise StegError(f"{path}: 16-bit images are not usable here, need 8-bit")
+        raise StegError(f"{path}: 16-bit PGM where an 8-bit one is needed")
     return img
 
 
 def _load_stego(path):
-    data = _read_file(path)
+    data = Path(path).read_bytes()
     if data[:4] == b"DST1":
         return engine.StegoContainer.from_bytes(data)
     if data[:2] == b"P5":
-        img = read_pgm(data)
-        if not isinstance(img, Image8):
-            raise BadMagic(f"{path}: 16-bit PGM cannot be a stego image")
-        return img
+        return _load_image8(path, data)
     raise BadMagic(f"{path}: neither a coefficient container nor a PGM")
 
 
 def cmd_embed(args):
     cover = _load_image8(args.cover)
-    data = _read_file(args.secret)
     if args.secret_kind == "image":
-        secret = read_pgm(data)
-        if not isinstance(secret, Image8):
-            raise StegError(f"{args.secret}: image secrets must be 8-bit PGM")
+        secret = _load_image8(args.secret)
         frame = framing.build_frame(
             secret.pixels.tobytes(),
             framing.KIND_IMAGE,
             (secret.width, secret.height),
         )
     else:
-        frame = framing.build_frame(data)
+        frame = framing.build_frame(Path(args.secret).read_bytes())
     _note(args, f"frame of {frame.bit_length} bits into {cover.width}x{cover.height} cover")
     stego, report = engine.embed(cover, frame, args.mode)
     if report.residual_bit_errors:
@@ -80,9 +66,9 @@ def cmd_embed(args):
             f"errors; no artifact written",
         )
     if args.mode == "container":
-        _write_file(args.out, stego.to_bytes())
+        Path(args.out).write_bytes(stego.to_bytes())
     else:
-        _write_file(args.out, write_pgm(stego))
+        Path(args.out).write_bytes(write_pgm(stego))
     print(
         f"mode={args.mode} blocks_used={report.blocks_used} "
         f"payload_bits={report.payload_bits} psnr_db={report.psnr_db:.4f} "
@@ -98,10 +84,10 @@ def cmd_extract(args):
         pixels = np.frombuffer(secret, dtype=np.uint8).reshape(
             header.secret_height, header.secret_width
         )
-        _write_file(args.out, write_pgm(Image8(pixels)))
+        Path(args.out).write_bytes(write_pgm(Image8(pixels)))
         kind = "image"
     else:
-        _write_file(args.out, secret)
+        Path(args.out).write_bytes(secret)
         kind = "bytes"
     print(
         f"secret_kind={kind} secret_bytes={len(secret)} "

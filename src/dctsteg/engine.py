@@ -125,11 +125,6 @@ def capacity(width, height):
     return max(0, width * height - FRAME_OVERHEAD_BITS)
 
 
-def _samples(coeffs):
-    """Integer coefficient blocks to real pixel-domain samples, before rounding."""
-    return blockdct.inverse_dct(blockdct.dequantize(coeffs))
-
-
 def _to_pixels(samples):
     """Round and clamp real samples to 8-bit pixel values (still float dtype).
 
@@ -141,7 +136,7 @@ def _to_pixels(samples):
 
 def _render_blocks(coeffs):
     """Integer coefficient blocks to 8-bit pixel values (still float dtype)."""
-    return _to_pixels(_samples(coeffs))
+    return _to_pixels(blockdct.inverse_dct(coeffs))
 
 
 # _BASIS[i] is the inverse-DCT image of a unit coefficient i, flattened
@@ -182,7 +177,7 @@ def _pool_factor(offenders, samples):
     return factor, bool(samples.min() < _REACH or samples.max() > 255.0 - _REACH)
 
 
-def _candidate_pixels(cur, samples, offenders, rows, ws, start, pool=None):
+def _candidate_pixels(cur, pool, offenders, rows, ws, start):
     """Pixels of cur nudged by each pattern row on the offender slots, (k,8,8).
 
     Written to the workspace rows from start on. Samples are cur's own
@@ -191,10 +186,10 @@ def _candidate_pixels(cur, samples, offenders, rows, ws, start, pool=None):
     float noise, which only matters where a sample sits on a .5 rounding
     tie; candidates with such a sample are re-rendered through
     _render_blocks, so every pixel equals the full render's. pool is
-    _pool_factor(offenders, samples), built once per round for all its
-    passes; without it the call builds its own.
+    _pool_factor(offenders, samples of cur), built once per round for all
+    its passes.
     """
-    factor, clamps = pool or _pool_factor(offenders, samples)
+    factor, clamps = pool
     stop = start + len(rows)
     left = ws.lift[start:stop, : len(offenders) + 1]
     left[:, 1:] = rows
@@ -232,43 +227,30 @@ _ANCHOR_SCAN = 32  # leading candidates whose offenders are counted first
 _MIN_PASS = 128  # candidates verified in one pass at least
 _RECORD = np.dtype((np.void, BLOCK * BLOCK))  # one block's 64 bools, compared at once
 
-_PATTERNS = {}
 
-
+@functools.cache
 def _sign_patterns(n):
     """All nonzero {0, +2, -2} rows over n slots, sparsest first, capped.
 
-    Returns (rows, tiers): rows are float64 (the values are exact), and
-    tiers are the (start, stop) row ranges that share one nonzero count, in
-    pool order.
+    Returns (rows, passes): rows are float64 (the values are exact), and
+    passes are (start, stop) row ranges in pool order, each of whole tiers
+    (rows that share one nonzero count) and closed once it holds at least
+    _MIN_PASS rows. The first clean candidate in pool order is the same
+    whichever tiers share a pass; a pass costs some 30 array calls whatever
+    its size, and sparse tiers rarely hold a clean candidate.
     """
-    if n not in _PATTERNS:
-        k = np.arange(1, 3 ** n)
-        digits = (k[:, None] // 3 ** np.arange(n)) % 3
-        values = np.where(digits == 0, 0.0, np.where(digits == 1, 2.0, -2.0))
-        nonzero = (digits != 0).sum(axis=1)
-        order = np.argsort(nonzero, kind="stable")
-        rows = values[order][:_POOL_CAP]
-        stops = [*np.flatnonzero(np.diff(nonzero[order][:_POOL_CAP])) + 1, len(rows)]
-        _PATTERNS[n] = rows, list(zip([0, *stops[:-1]], stops))
-    return _PATTERNS[n]
-
-
-@functools.cache
-def _passes(n):
-    """_sign_patterns(n) tiers grouped into passes of at least _MIN_PASS
-    candidates, in pool order.
-
-    The first clean candidate in pool order is the same whichever tiers
-    share a pass; a pass costs some 30 array calls whatever its size, and
-    sparse tiers rarely hold a clean candidate.
-    """
-    passes = []
-    for start, stop in _sign_patterns(n)[1]:
-        if passes and passes[-1][1] - passes[-1][0] < _MIN_PASS:
-            start = passes.pop()[0]
-        passes.append((start, stop))
-    return passes
+    k = np.arange(1, 3 ** n)
+    digits = (k[:, None] // 3 ** np.arange(n)) % 3
+    values = np.where(digits == 0, 0.0, np.where(digits == 1, 2.0, -2.0))
+    nonzero = (digits != 0).sum(axis=1)
+    order = np.argsort(nonzero, kind="stable")
+    rows = values[order][:_POOL_CAP]
+    passes, start = [], 0
+    for stop in np.cumsum(np.bincount(nonzero[order][:_POOL_CAP]))[1:].tolist():
+        if stop - start >= _MIN_PASS or stop == len(rows):
+            passes.append((start, stop))
+            start = stop
+    return rows, passes
 
 
 def _anchor(cur, offenders, rows, bits, seen, ws):
@@ -301,7 +283,7 @@ def verify_adjust_block(coeffs, bits, ws=None):
     candidate +-2 nudges of the currently offending coefficients (LSBs are
     preserved by even steps) and commits the first clean candidate in pool
     order, the sparsest. The pool is verified in passes of whole
-    nonzero-count tiers (see _passes), sparsest first, and stops at the
+    nonzero-count tiers (see _sign_patterns), sparsest first, and stops at the
     first pass holding a clean candidate. When no candidate is clean the
     search re-anchors on an unseen candidate whose own offender set is wide
     (see _anchor), keeping later rounds' candidate pools large. At most 16
@@ -325,7 +307,7 @@ def verify_adjust_block(coeffs, bits, ws=None):
     seen = {cur.tobytes()}
     best_pixels = None
     best_residual = BLOCK * BLOCK + 1
-    samples = _samples(cur)
+    samples = blockdct.inverse_dct(cur)
     pix = _to_pixels(samples)
     mask = blockdct.lsb_parity(pix[None])[0] ^ bits
     for round_no in range(_MAX_ROUNDS + 1):
@@ -336,10 +318,10 @@ def verify_adjust_block(coeffs, bits, ws=None):
         if wrong == 0 or round_no == _MAX_ROUNDS:
             break
         offenders = np.flatnonzero(mask.ravel())[:_POOL_COEFFS]
-        rows, _ = _sign_patterns(len(offenders))
+        rows, passes = _sign_patterns(len(offenders))
         pool = _pool_factor(offenders, samples)
-        for start, stop in _passes(len(offenders)):
-            pixels = _candidate_pixels(cur, samples, offenders, rows[start:stop], ws, start, pool)
+        for start, stop in passes:
+            pixels = _candidate_pixels(cur, pool, offenders, rows[start:stop], ws, start)
             parity = blockdct.lsb_parity(pixels, ws.work[:, start:stop], ws.masks[start:stop])
             # clean where a candidate's 64 parities, as one record, are bits
             hits = np.flatnonzero(parity.reshape(-1, BLOCK * BLOCK).view(_RECORD) == bit_record)
@@ -352,7 +334,7 @@ def verify_adjust_block(coeffs, bits, ws=None):
         seen.add(cur.tobytes())
         mask = ws.masks[k] ^ bits
         pix = ws.pixels[k].reshape(BLOCK, BLOCK).copy()
-        samples = _samples(cur)
+        samples = blockdct.inverse_dct(cur)
     return best_pixels.astype(np.uint8), best_residual
 
 
@@ -394,7 +376,7 @@ def embed(cover, frame, mode="container"):
 
 
 def render(container):
-    """8-bit view of a container: dequantize, inverse transform, round, clamp.
+    """8-bit view of a container: inverse transform, round, clamp.
 
     For viewing and fidelity scoring; extraction in container mode reads the
     coefficients directly.

@@ -106,8 +106,8 @@ def read_pgm(data):
         raise BadHeader("expected single whitespace byte after maxval")
     pos += 1
     count = width * height
-    sample_dtype = np.uint8 if maxval == 255 else np.dtype(">u2")
-    need = count * sample_dtype.itemsize if maxval == 65535 else count
+    sample_dtype = np.dtype(np.uint8 if maxval == 255 else ">u2")
+    need = count * sample_dtype.itemsize
     if len(data) - pos < need:
         raise Truncated(f"need {need} sample bytes, have {len(data) - pos}")
     samples = np.frombuffer(data, dtype=sample_dtype, count=count, offset=pos)

@@ -201,9 +201,9 @@ def shannon_entropy(data):
 
 
 def _reference_mismatch(cands, bits):
-    from dctsteg.blockdct import dequantize, forward_dct, inverse_dct, quantize, round_half_away
+    from dctsteg.blockdct import forward_dct, inverse_dct, quantize, round_half_away
 
-    pixels = np.clip(round_half_away(inverse_dct(dequantize(cands))), 0.0, 255.0)
+    pixels = np.clip(round_half_away(inverse_dct(cands)), 0.0, 255.0)
     recovered = quantize(forward_dct(pixels))
     return (recovered & 1) != bits[None, :, :], pixels
 

@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 from dctsteg import Image8
 from dctsteg.blockdct import (
     assemble,
-    dequantize,
     forward_dct,
     inverse_dct,
     lsb_parity,
@@ -119,7 +118,7 @@ def test_quantize_examples():
 def test_quantize_moves_at_most_half(coeffs):
     q = quantize(coeffs)
     assert np.abs(q - coeffs).max() <= 0.5
-    assert np.array_equal(quantize(dequantize(q)), q)
+    assert np.array_equal(quantize(q.astype(np.float64)), q)
 
 
 def _parity_cases(rng, n):

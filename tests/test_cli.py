@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dctsteg import KIND_IMAGE, Image8, build_frame, embed, read_pgm, write_pgm
+from dctsteg import (
+    KIND_BYTES, KIND_IMAGE, Image8, Image16, build_frame, embed, extract, read_pgm, write_pgm,
+)
 from dctsteg.cli import entry
-from dctsteg.errors import StegError
+from dctsteg.errors import BadHeader, InvalidCode, StegError
 from dctsteg.framing import HEADER_BITS, TABLE_BITS, PayloadFrame, PayloadHeader
 from dctsteg.huffman import Bitstream, build_table, decode
 from support import natural_cover
@@ -269,13 +271,18 @@ def test_inspect_non_stego_exit_4(capsys, tmp_path, cover_path):
     assert code == 4 and "error:" in err
 
 
-def test_zero_symbol_count_exit_4(capsys, tmp_path, cover_path):
-    # build_frame never writes a zero symbol count, but a 0x0 image header
-    # with an empty table and payload agrees with it
-    header = PayloadHeader(KIND_IMAGE, 0, 0, 0, 0)
+def _empty_table_container(header, cover_path):
+    """Container of a frame with this header, an all-zero code table and no payload."""
     bits = np.concatenate([np.unpackbits(np.frombuffer(header.to_bytes(), dtype=np.uint8)),
                            np.zeros(TABLE_BITS, dtype=np.uint8)])
     container, _ = embed(read_pgm(cover_path.read_bytes()), PayloadFrame(Bitstream(bits), header))
+    return container
+
+
+def test_zero_symbol_count_exit_4(capsys, tmp_path, cover_path):
+    # build_frame never writes a zero symbol count, but a 0x0 image header
+    # with an empty table and payload agrees with it
+    container = _empty_table_container(PayloadHeader(KIND_IMAGE, 0, 0, 0, 0), cover_path)
     stego = tmp_path / "zero.dsc"
     stego.write_bytes(container.to_bytes())
     recovered = tmp_path / "recovered.pgm"
@@ -286,6 +293,72 @@ def test_zero_symbol_count_exit_4(capsys, tmp_path, cover_path):
     code, out, err = run_cli(capsys, "inspect", "--in", stego)
     assert code == 4 and out == ""
     assert "zero symbol count" in err
+
+
+def test_empty_table_with_symbols_to_decode_exit_4(capsys, tmp_path, cover_path):
+    container = _empty_table_container(PayloadHeader(KIND_BYTES, 0, 0, 1, 0), cover_path)
+    with pytest.raises(InvalidCode, match="empty table cannot decode symbols"):
+        extract(container)
+    stego = tmp_path / "empty.dsc"
+    stego.write_bytes(container.to_bytes())
+    recovered = tmp_path / "recovered.bin"
+    code, out, err = run_cli(capsys, "extract", "--in", stego, "--out", recovered)
+    assert code == 4 and out == ""
+    assert "empty table cannot decode symbols" in err
+    assert not recovered.exists()
+
+
+@pytest.fixture
+def deep_path(tmp_path):
+    path = tmp_path / "deep.pgm"
+    path.write_bytes(write_pgm(Image16(np.full((64, 64), 40000, dtype=np.uint16))))
+    return path
+
+
+@pytest.mark.parametrize("argv, want", [
+    (("embed", "--cover", "{deep}", "--secret", "{cover}", "--out", "{out}"), 3),
+    (("embed", "--cover", "{cover}", "--secret", "{deep}", "--secret-kind", "image",
+      "--out", "{out}"), 3),
+    (("capacity", "--cover", "{deep}"), 3),
+    (("psnr", "--a", "{cover}", "--b", "{deep}"), 3),
+    (("extract", "--in", "{deep}", "--out", "{out}"), 4),
+    (("inspect", "--in", "{deep}"), 4),
+], ids=["embed cover", "embed image secret", "capacity", "psnr", "extract", "inspect"])
+def test_16bit_pgm_where_8bit_is_needed(capsys, tmp_path, cover_path, deep_path, argv, want):
+    paths = {"cover": cover_path, "deep": deep_path, "out": tmp_path / "out"}
+    code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert code == want and out == ""
+    assert err.startswith("error: ") and str(deep_path) in err
+    assert not paths["out"].exists()
+
+
+def test_maxval_without_whitespace_after_it_exit_3(capsys, tmp_path, cover_path):
+    data = b"P5\n8 8\n255#" + bytes(64)
+    with pytest.raises(BadHeader):
+        read_pgm(data)
+    bad = tmp_path / "bad.pgm"
+    bad.write_bytes(data)
+    for argv in (("capacity", "--cover", bad),
+                 ("embed", "--cover", bad, "--secret", cover_path, "--out", tmp_path / "o")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_verbose_embed_notes_the_frame_on_stderr_only(capsys, tmp_path, cover_path):
+    secret = tmp_path / "secret.bin"
+    secret.write_bytes(b"verbose or not, the same stdout")
+    quiet = run_cli(capsys, "embed", "--cover", cover_path, "--secret", secret,
+                    "--out", tmp_path / "quiet.dsc")
+    loud = run_cli(capsys, "-v", "embed", "--cover", cover_path, "--secret", secret,
+                   "--out", tmp_path / "loud.dsc")
+    assert quiet[0] == loud[0] == 0
+    assert loud[1] == quiet[1] != ""
+    assert quiet[2] == ""
+    bits = build_frame(secret.read_bytes()).bit_length
+    assert loud[2] == f"frame of {bits} bits into 64x64 cover\n"
+    assert (tmp_path / "loud.dsc").read_bytes() == (tmp_path / "quiet.dsc").read_bytes()
 
 
 def test_inspect_corrupt_kind_exit_4(capsys, tmp_path, cover_path):

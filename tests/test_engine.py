@@ -17,7 +17,7 @@ from dctsteg import (
     extract,
     render,
 )
-from dctsteg.blockdct import assemble, forward_dct, partition, quantize
+from dctsteg.blockdct import assemble, forward_dct, inverse_dct, partition, quantize
 from dctsteg.engine import get_lsb, set_lsb, verify_adjust_block
 from dctsteg.framing import PayloadFrame, PayloadHeader
 from dctsteg.huffman import Bitstream
@@ -139,6 +139,8 @@ def test_container_wire_format_errors():
     misaligned = b"DST1" + b"\x00\x0c\x00\x10" + blob[8:]
     with pytest.raises(NotBlockAligned):
         StegoContainer.from_bytes(misaligned)
+    with pytest.raises(NotBlockAligned):  # 144 coefficients are no whole number of blocks
+        StegoContainer.from_bytes(b"DST1" + b"\x00\x0c\x00\x0c" + blob[8:])
     out_of_range = bytearray(blob)
     out_of_range[8:10] = b"\x7f\xff"  # 32767, beyond the coefficient range
     with pytest.raises(BadHeader):
@@ -239,17 +241,24 @@ def test_candidate_render_equals_full_render_on_dc_ties():
         for start in (dc - 2, dc + 2):
             cur = np.zeros((8, 8), dtype=np.int64)
             cur[0, 0] = start
-            fast = engine._candidate_pixels(
-                cur, engine._samples(cur), offenders, rows, engine._Workspace(), 0
-            )
+            pool = engine._pool_factor(offenders, inverse_dct(cur))
+            fast = engine._candidate_pixels(cur, pool, offenders, rows, engine._Workspace(), 0)
             full = engine._render_blocks(engine._nudged(cur, offenders, rows))
             differing += not np.array_equal(fast, full)
     assert differing == 0
 
 
+def _tiers(rows):
+    """(start, stop) ranges of the rows that share one nonzero count, in pool order."""
+    nonzero = (rows != 0).sum(1)
+    stops = [*np.flatnonzero(np.diff(nonzero)) + 1, len(rows)]
+    return list(zip([0, *stops[:-1]], stops))
+
+
 def test_sign_pattern_tiers_partition_the_pool_by_nonzero_count():
     for n in range(1, 8):
-        rows, tiers = engine._sign_patterns(n)
+        rows, _ = engine._sign_patterns(n)
+        tiers = _tiers(rows)
         assert tiers[0][0] == 0 and tiers[-1][1] == len(rows) <= 2048
         for (_, stop), (start, _) in zip(tiers, tiers[1:]):
             assert stop == start
@@ -260,8 +269,8 @@ def test_sign_pattern_tiers_partition_the_pool_by_nonzero_count():
 
 def test_passes_group_whole_tiers_in_pool_order():
     for n in range(1, 8):
-        rows, tiers = engine._sign_patterns(n)
-        passes = engine._passes(n)
+        rows, passes = engine._sign_patterns(n)
+        tiers = _tiers(rows)
         bounds = {start for start, _ in tiers} | {len(rows)}
         assert passes[0][0] == 0 and passes[-1][1] == len(rows)
         for (_, stop), (start, _) in zip(passes, passes[1:]):
@@ -370,7 +379,8 @@ def test_candidate_render_equals_full_render_near_the_clamps():
             block = np.clip(level + rng.integers(-4, 5, (8, 8)), 0, 255).astype(np.float64)
             cur = quantize(forward_dct(block))
             offenders = np.sort(rng.choice(64, 7, replace=False))
-            fast = engine._candidate_pixels(cur, engine._samples(cur), offenders, rows, ws, 0)
+            pool = engine._pool_factor(offenders, inverse_dct(cur))
+            fast = engine._candidate_pixels(cur, pool, offenders, rows, ws, 0)
             full = engine._render_blocks(engine._nudged(cur, offenders, rows))
             assert np.array_equal(fast, full), level
             assert np.abs(rows @ engine._BASIS[offenders]).max() <= engine._REACH
