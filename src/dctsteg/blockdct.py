@@ -70,16 +70,19 @@ def forward_dct(blocks, out=None):
 
     out, for a float64 stack of n blocks, is a caller-owned (2, n, 8, 8)
     float64 buffer: both products land there and out[1] is returned, so a
-    hot loop allocates nothing. The float operations are the same.
+    hot loop allocates nothing. The float operations are the same. The stack
+    itself may be out[1], which the first product reads before the second writes.
     """
     if out is None:
         return _batched(lambda a: _M @ a @ _MT, blocks)
     return np.matmul(np.matmul(_M, blocks, out=out[0]), _MT, out=out[1])
 
 
-def inverse_dct(coeffs):
-    """Pixel-domain samples of one coefficient block or a stack."""
-    return _batched(lambda a: _MT @ a @ _M, coeffs)
+def inverse_dct(coeffs, out=None):
+    """Pixel-domain samples of one coefficient block or a stack; out as for forward_dct."""
+    if out is None:
+        return _batched(lambda a: _MT @ a @ _M, coeffs)
+    return np.matmul(np.matmul(_MT, coeffs, out=out[0]), _M, out=out[1])
 
 
 def quantize(coeffs):

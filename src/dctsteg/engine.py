@@ -44,7 +44,7 @@ class StegoContainer:
     def __init__(self, width, height, coeffs):
         if width % BLOCK or height % BLOCK:
             raise NotBlockAligned(f"{width}x{height} is not a multiple of 8")
-        coeffs = np.asarray(coeffs, dtype=np.int64)
+        coeffs = np.asarray(coeffs)
         expected = (width // BLOCK) * (height // BLOCK)
         if coeffs.shape != (expected, BLOCK, BLOCK):
             raise ValueError(
@@ -54,11 +54,11 @@ class StegoContainer:
             raise ValueError(f"coefficients must lie in [{COEFF_MIN}, {COEFF_MAX}]")
         self.width = int(width)
         self.height = int(height)
-        self.coeffs = coeffs
+        self.coeffs = coeffs.astype(np.int16, copy=False)  # the wire width, once in range
 
     def to_bytes(self):
         header = _CONTAINER_HEADER.pack(CONTAINER_MAGIC, self.width, self.height)
-        return header + self.coeffs.astype(">i2").tobytes()
+        return header + self.coeffs.astype(">i2", copy=False).tobytes()
 
     @classmethod
     def from_bytes(cls, data):
@@ -76,10 +76,11 @@ class StegoContainer:
         offset = _CONTAINER_HEADER.size
         if len(data) - offset < 2 * count:
             raise Truncated(f"need {2 * count} coefficient bytes, have {len(data) - offset}")
-        coeffs = np.frombuffer(data, dtype=">i2", count=count, offset=offset).astype(np.int64)
-        if coeffs.size and (coeffs.min() < COEFF_MIN or coeffs.max() > COEFF_MAX):
-            raise BadHeader(f"coefficient outside [{COEFF_MIN}, {COEFF_MAX}]")
-        return cls(width, height, coeffs.reshape(-1, BLOCK, BLOCK))
+        coeffs = np.frombuffer(data, dtype=">i2", count=count, offset=offset).astype(np.int16)
+        try:  # the constructor's range check is the parse's one check
+            return cls(width, height, coeffs.reshape(-1, BLOCK, BLOCK))
+        except ValueError as exc:
+            raise BadHeader(str(exc)) from None
 
     def __eq__(self, other):
         if not isinstance(other, StegoContainer):
@@ -226,6 +227,7 @@ _REACH = 2.0 * np.sort(np.abs(_BASIS), axis=0)[-_POOL_COEFFS:].sum(axis=0).max()
 _ANCHOR_SCAN = 32  # leading candidates whose offenders are counted first
 _MIN_PASS = 128  # candidates verified in one pass at least
 _RECORD = np.dtype((np.void, BLOCK * BLOCK))  # one block's 64 bools, compared at once
+_CHUNK_BLOCKS = 2048  # blocks per chunk of embed's whole-cover loop, 1 MB per float buffer
 
 
 @functools.cache
@@ -344,35 +346,45 @@ def embed(cover, frame, mode="container"):
     Bit group i of the frame lands in the LSBs of coefficient block i; blocks
     past the frame keep their plain quantized coefficients. Returns
     (StegoContainer, report) in container mode or (Image8, report) in
-    spatial8 mode.
+    spatial8 mode. One loop over chunks of block rows, each step per block.
     """
     if mode not in ("container", "spatial8"):
         raise ValueError(f"unknown mode {mode!r}")
-    pixel_blocks = blockdct.partition(cover)
-    slots = pixel_blocks.shape[0] * BLOCK * BLOCK
-    if frame.bit_length > slots:
+    height, width = cover.height, cover.width
+    if width % BLOCK or height % BLOCK:
+        raise NotBlockAligned(f"{width}x{height} is not a multiple of {BLOCK}x{BLOCK}")
+    if frame.bit_length > width * height:
         raise PayloadTooLarge(
-            f"frame of {frame.bit_length} bits exceeds {slots} coefficient slots"
+            f"frame of {frame.bit_length} bits exceeds {width * height} coefficient slots"
         )
-    bit_blocks = frame.bits.bits.reshape(-1, BLOCK, BLOCK).astype(np.int64)
-    used = bit_blocks.shape[0]
-    coeffs = blockdct.quantize(blockdct.forward_dct(pixel_blocks))
-    coeffs[:used] = set_lsb(coeffs[:used], bit_blocks)
-    payload_bits = frame.header.payload_bit_length
-    if mode == "container":
-        container = StegoContainer(cover.width, cover.height, coeffs)
-        score = metrics.psnr(cover, render(container))
-        return container, EmbedReport(used, payload_bits, score.psnr_db, 0)
-    rendered = _render_blocks(coeffs)
+    bits = frame.bits.bits.reshape(-1, BLOCK, BLOCK)
+    used = len(bits)
+    across = width // BLOCK
+    rows = BLOCK * max(1, _CHUNK_BLOCKS // across)  # pixel rows per chunk
+    coeffs = np.empty((width * height // BLOCK**2, BLOCK, BLOCK), dtype=np.int16)
+    stego = np.empty((height, width), dtype=np.uint8)
+    grid = stego.reshape(-1, BLOCK, across, BLOCK).transpose(0, 2, 1, 3)  # [row, column] blocks
+    work = np.empty((2, min(rows, height) // BLOCK * across, BLOCK, BLOCK))
+    for y in range(0, height, rows):
+        part = blockdct.partition(cover.pixels[y : y + rows])
+        first, real = y // BLOCK * across, work[:, : len(part)]
+        chunk = coeffs[first : first + len(part)]
+        chunk[...] = blockdct.quantize(blockdct.forward_dct(part, out=real))
+        marked = chunk[: max(0, used - first)]
+        marked[...] = set_lsb(marked, bits[first : first + len(marked)])
+        real[1] = chunk
+        samples = _to_pixels(blockdct.inverse_dct(real[1], out=real))
+        grid[y // BLOCK : (y + rows) // BLOCK] = samples.reshape(-1, across, BLOCK, BLOCK)
     residual = 0
-    ws = _Workspace()
-    for i in range(used):
-        pixels, errors = verify_adjust_block(coeffs[i], bit_blocks[i], ws)
-        rendered[i] = pixels
-        residual += errors
-    stego = Image8(blockdct.assemble(rendered, cover.width, cover.height).astype(np.uint8))
+    if mode == "spatial8":
+        ws = _Workspace()
+        for i in range(used):
+            grid[divmod(i, across)], errors = verify_adjust_block(coeffs[i], bits[i], ws)
+            residual += errors
+    stego = Image8(stego)
     score = metrics.psnr(cover, stego)
-    return stego, EmbedReport(used, payload_bits, score.psnr_db, residual)
+    report = EmbedReport(used, frame.header.payload_bit_length, score.psnr_db, residual)
+    return (StegoContainer(width, height, coeffs) if mode == "container" else stego), report
 
 
 def render(container):

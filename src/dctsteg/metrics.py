@@ -19,13 +19,13 @@ class QualityScore:
 
 
 def mse(f, g):
-    """Mean squared pixel difference, sum((f-g)^2) / (width * height)."""
+    """Mean squared pixel difference, sum((f-g)^2) / (width * height), summed in int64."""
     if (f.width, f.height) != (g.width, g.height):
         raise DimensionMismatch(
             f"{f.width}x{f.height} vs {g.width}x{g.height}"
         )
-    diff = f.pixels.astype(np.float64) - g.pixels.astype(np.float64)
-    return float(np.mean(diff * diff))
+    diff = np.subtract(f.pixels, g.pixels, dtype=np.int32).reshape(-1)
+    return float(np.einsum("i,i->", diff, diff, dtype=np.int64) / diff.size)
 
 
 def psnr(f, g):

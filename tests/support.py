@@ -268,3 +268,27 @@ def reference_verify_adjust_block(coeffs, bits):
         seen.add(cur.tobytes())
         mask, pix = masks[chosen], pixels[chosen]
     return best_pixels.astype(np.uint8), best_residual
+
+
+def reference_embed(cover, frame, mode="container"):
+    """Whole-cover embed, the oracle for the library's chunked one.
+
+    Each step runs over every block of the cover at once: partition, forward
+    DCT, quantize, set the frame's bits, render, then for spatial8 the
+    library's verify/adjust on each payload block. Returns (int64
+    coefficients, uint8 pixels of the render, residual bit errors).
+    """
+    from dctsteg import engine
+    from dctsteg.blockdct import assemble, forward_dct, partition, quantize
+
+    coeffs = quantize(forward_dct(partition(cover)))
+    bit_blocks = frame.bits.bits.reshape(-1, 8, 8).astype(np.int64)
+    used = len(bit_blocks)
+    coeffs[:used] = engine.set_lsb(coeffs[:used], bit_blocks)
+    rendered = engine._render_blocks(coeffs)
+    residual = 0
+    if mode == "spatial8":
+        for i in range(used):
+            rendered[i], errors = engine.verify_adjust_block(coeffs[i], bit_blocks[i])
+            residual += errors
+    return coeffs, assemble(rendered, cover.width, cover.height).astype(np.uint8), residual

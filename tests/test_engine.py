@@ -15,6 +15,7 @@ from dctsteg import (
     capacity,
     embed,
     extract,
+    psnr,
     render,
 )
 from dctsteg.blockdct import assemble, forward_dct, inverse_dct, partition, quantize
@@ -29,7 +30,7 @@ from dctsteg.errors import (
     Truncated,
 )
 from dctsteg import engine
-from support import natural_cover, reference_verify_adjust_block
+from support import natural_cover, reference_embed, reference_verify_adjust_block
 
 
 def test_lsb_examples():
@@ -156,6 +157,88 @@ def test_container_constructor_validation():
     too_big[0, 0, 0] = 4096
     with pytest.raises(ValueError):
         StegoContainer(8, 8, too_big)
+
+
+@pytest.mark.parametrize("value", [70000, -40000, 65543, -65539])
+def test_container_constructor_rejects_int64_values_that_wrap_in_int16(value):
+    # 65543 and -65539 wrap to 7 and -3 in int16, so the check must precede the narrowing
+    coeffs = np.zeros((1, 8, 8), dtype=np.int64)
+    coeffs[0, 3, 5] = value
+    with pytest.raises(ValueError):
+        StegoContainer(8, 8, coeffs)
+
+
+def test_container_holds_int16_coefficients_from_every_source():
+    container, _ = embed(_cover(64, 64, 5), build_frame(b"wire width"))
+    parsed = StegoContainer.from_bytes(container.to_bytes())
+    built = StegoContainer(64, 64, container.coeffs.astype(np.int64))
+    for each in (container, parsed, built):
+        assert each.coeffs.dtype == np.int16
+    assert parsed == container == built
+    assert parsed.to_bytes() == container.to_bytes()
+
+
+def _frame_of_blocks(count, seed):
+    """A frame of count random 64-bit groups, so the payload ends on a chosen block."""
+    bits = np.random.default_rng(seed).integers(0, 2, 64 * count).astype(np.uint8)
+    return PayloadFrame(Bitstream(bits), PayloadHeader(0, 0, 0, 0, 0))
+
+
+def _chunk_and_total(width, height):
+    across = width // 8
+    return across * max(1, engine._CHUNK_BLOCKS // across), across * (height // 8)
+
+
+@pytest.mark.parametrize(
+    "width, height", [(128, 128), (512, 512), (520, 512)],
+    ids=["under one chunk", "two whole chunks", "last chunk partial"],
+)
+def test_chunked_container_embed_equals_the_whole_cover_reference(width, height):
+    chunk, total = _chunk_and_total(width, height)
+    # blocks in the last chunk
+    assert total % chunk == {(128, 128): 256, (512, 512): 0, (520, 512): 130}[width, height]
+    cover = _cover(width, height, width + height)
+    ends = {0, 1, total // 2, chunk // 2 + 3, chunk - 1, chunk, chunk + 1, total - 1, total}
+    for used in sorted(end for end in ends if end <= total):
+        frame = _frame_of_blocks(used, used)
+        container, report = embed(cover, frame)
+        coeffs, pixels, _ = reference_embed(cover, frame)
+        assert report.blocks_used == used
+        assert np.array_equal(container.coeffs, coeffs), used
+        assert report.psnr_db == psnr(cover, Image8(pixels)).psnr_db, used
+    # with no payload block, the spatial8 artifact is the chunked render itself
+    stego, report = embed(cover, _frame_of_blocks(0, 0), mode="spatial8")
+    assert np.array_equal(stego.pixels, reference_embed(cover, _frame_of_blocks(0, 0))[1])
+
+
+@pytest.mark.parametrize("chunk_blocks", [5, 24])
+def test_chunked_spatial8_embed_equals_the_whole_cover_reference(monkeypatch, chunk_blocks):
+    # A 64x64 cover has 8 blocks a row: chunks of one row (5 rounds up to a
+    # row), or of 24, 24 and 16 blocks.
+    monkeypatch.setattr(engine, "_CHUNK_BLOCKS", chunk_blocks)
+    chunk, total = _chunk_and_total(64, 64)
+    cover = _cover(64, 64, 91)
+    for used in sorted({chunk // 2 + 1, chunk, chunk + 1, total}):
+        frame = _frame_of_blocks(used, used)
+        stego, report = embed(cover, frame, mode="spatial8")
+        _, pixels, residual = reference_embed(cover, frame, mode="spatial8")
+        assert report.residual_bit_errors == residual, used
+        assert np.array_equal(stego.pixels, pixels), used
+
+
+def test_container_embed_allocates_chunk_sized_temporaries():
+    # The whole-cover outputs of a 1024^2 cover are 3 MiB; one whole-cover
+    # float64 temporary alone would be 8 MiB.
+    cover = _cover(1024, 1024, 81)
+    frame = build_frame(np.random.default_rng(81).bytes(capacity(1024, 1024) * 93 // 800))
+    embed(cover, frame)
+    tracemalloc.start()
+    try:
+        embed(cover, frame)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_render_known_blocks():

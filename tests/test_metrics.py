@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dctsteg import Image8, psnr
+from dctsteg import Image8, Image16, psnr
 from dctsteg.metrics import mse
 from dctsteg.errors import DimensionMismatch
 
@@ -81,3 +81,32 @@ def test_psnr_decreases_with_distortion():
         other = np.clip(base.astype(np.int64) + delta, 0, 255).astype(np.uint8)
         scores.append(psnr(Image8(base), Image8(other)).psnr_db)
     assert scores == sorted(scores, reverse=True)
+
+
+def _float_mse(a, b):
+    """The float formula mse replaced: two float64 copies and np.mean."""
+    diff = a.astype(np.float64) - b.astype(np.float64)
+    return float(np.mean(diff * diff))
+
+
+def test_exact_sum_equals_the_float_formula_bit_for_bit():
+    rng = np.random.default_rng(9)
+    for shape in ((8, 8), (64, 48), (520, 512), (1024, 1024)):
+        a = rng.integers(0, 256, shape, dtype=np.uint8)
+        near = np.clip(a.astype(np.int64) + rng.integers(-3, 4, shape), 0, 255).astype(np.uint8)
+        far = rng.integers(0, 256, shape, dtype=np.uint8)
+        for b in (near, far):
+            assert mse(Image8(a), Image8(b)) == _float_mse(a, b)
+            assert psnr(Image8(a), Image8(b)).psnr_db == 10.0 * math.log10(
+                255.0**2 / _float_mse(a, b)
+            )
+
+
+def test_exact_sum_at_the_largest_difference():
+    black = np.zeros((2048, 2048), dtype=np.uint8)
+    white = np.full((2048, 2048), 255, dtype=np.uint8)
+    assert mse(Image8(black), Image8(white)) == _float_mse(black, white) == 255.0**2
+    # 16-bit squares overflow int32; the sum must not
+    low = np.zeros((64, 64), dtype=np.uint16)
+    high = np.full((64, 64), 65535, dtype=np.uint16)
+    assert mse(Image16(low), Image16(high)) == _float_mse(low, high) == 65535.0**2
