@@ -8,14 +8,13 @@ modules: dctsteg.blockdct, dctsteg.huffman, dctsteg.framing, dctsteg.engine.
 from . import errors
 from .engine import EmbedReport, StegoContainer, capacity, embed, extract, render
 from .framing import KIND_BYTES, KIND_IMAGE, build_frame
-from .image_io import Image8, Image16, read_pgm, write_pgm
+from .image_io import Image8, read_pgm, write_pgm
 from .metrics import psnr
 
 __version__ = "0.1.0"
 
 __all__ = [
     "EmbedReport",
-    "Image16",
     "Image8",
     "KIND_BYTES",
     "KIND_IMAGE",

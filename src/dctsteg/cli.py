@@ -30,11 +30,11 @@ def _note(args, message):
 
 
 def _load_image8(path, data=None):
-    """The 8-bit PGM at path; data, where given, is that file's bytes."""
-    img = read_pgm(Path(path).read_bytes() if data is None else data)
-    if not isinstance(img, Image8):
-        raise StegError(f"{path}: 16-bit PGM where an 8-bit one is needed")
-    return img
+    """The 8-bit PGM at path (data: its bytes, if read); a parse error names the file."""
+    try:
+        return read_pgm(Path(path).read_bytes() if data is None else data)
+    except StegError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _load_stego(path):

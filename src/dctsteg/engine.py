@@ -18,6 +18,7 @@ from .blockdct import BLOCK
 from .errors import (
     BadHeader,
     BadMagic,
+    DimensionMismatch,
     NotBlockAligned,
     PayloadLengthMismatch,
     PayloadTooLarge,
@@ -44,6 +45,8 @@ class StegoContainer:
     def __init__(self, width, height, coeffs):
         if width % BLOCK or height % BLOCK:
             raise NotBlockAligned(f"{width}x{height} is not a multiple of 8")
+        if max(width, height) > 0xFFFF:
+            raise DimensionMismatch(f"{width}x{height} does not fit the u16 dims of a .dsc")
         coeffs = np.asarray(coeffs)
         expected = (width // BLOCK) * (height // BLOCK)
         if coeffs.shape != (expected, BLOCK, BLOCK):

@@ -17,7 +17,7 @@ class BadHeader(StegError):
 
 
 class UnsupportedMaxval(StegError):
-    """PGM maxval is neither 255 nor 65535."""
+    """PGM maxval is not 255: only 8-bit PGMs are read."""
 
 
 class Truncated(StegError):
@@ -53,7 +53,7 @@ class KraftViolation(StegError):
 
 
 class DimensionMismatch(StegError):
-    """Operands have different dimensions."""
+    """Dimensions disagree with each other or with the data, or exceed a u16 field."""
 
 
 class UnsupportedVersion(StegError):

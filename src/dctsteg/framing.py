@@ -111,6 +111,8 @@ def build_frame(secret, kind=KIND_BYTES, dims=None):
             raise DimensionMismatch(
                 f"dims {width}x{height} disagree with {len(secret)} secret bytes"
             )
+        if not (0 < width <= 0xFFFF and 0 < height <= 0xFFFF):
+            raise DimensionMismatch(f"dims {width}x{height} do not fit the header's u16 fields")
     elif kind == KIND_BYTES:
         width = height = 0
     else:

@@ -1,7 +1,7 @@
 """Bit-exact reading and writing of binary PGM (P5) grayscale images.
 
-Supports maxval 255 (8-bit) and 65535 (16-bit, big-endian samples). The
-writer emits one canonical header form so golden byte comparisons are stable.
+8-bit only: maxval 255, one byte per sample. The writer emits one canonical
+header form so golden byte comparisons are stable.
 """
 
 import numpy as np
@@ -11,20 +11,17 @@ from .errors import BadHeader, BadMagic, Truncated, UnsupportedMaxval
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 
 
-class _Raster:
-    """Shared container: pixels is a (height, width) array of the named dtype."""
-
-    maxval = None
-    dtype = None
+class Image8:
+    """8-bit grayscale raster: pixels is a (height, width) uint8 array."""
 
     def __init__(self, pixels):
         arr = np.asarray(pixels)
         if arr.ndim != 2:
             raise ValueError("pixels must be a 2-D array")
-        if arr.dtype != self.dtype:
-            if arr.size and (int(arr.min()) < 0 or int(arr.max()) > self.maxval):
-                raise ValueError(f"pixel values must lie in [0, {self.maxval}]")
-            arr = arr.astype(self.dtype)
+        if arr.dtype != np.uint8:
+            if arr.size and (int(arr.min()) < 0 or int(arr.max()) > 255):
+                raise ValueError("pixel values must lie in [0, 255]")
+            arr = arr.astype(np.uint8)
         self.pixels = arr
 
     @property
@@ -36,28 +33,14 @@ class _Raster:
         return int(self.pixels.shape[0])
 
     def __eq__(self, other):
-        if type(other) is not type(self):
+        if not isinstance(other, Image8):
             return NotImplemented
         return self.pixels.shape == other.pixels.shape and bool(
             np.all(self.pixels == other.pixels)
         )
 
     def __repr__(self):
-        return f"{type(self).__name__}({self.width}x{self.height})"
-
-
-class Image8(_Raster):
-    """8-bit grayscale raster."""
-
-    maxval = 255
-    dtype = np.uint8
-
-
-class Image16(_Raster):
-    """16-bit grayscale raster."""
-
-    maxval = 65535
-    dtype = np.uint16
+        return f"Image8({self.width}x{self.height})"
 
 
 def _next_token(data, pos):
@@ -81,7 +64,7 @@ def _next_token(data, pos):
 
 
 def read_pgm(data):
-    """Parse binary PGM bytes into Image8 (maxval 255) or Image16 (maxval 65535).
+    """Parse binary PGM bytes (maxval 255) into an Image8.
 
     Trailing bytes after the declared samples are ignored; the parser never
     reads past the declared sample count.
@@ -100,31 +83,18 @@ def read_pgm(data):
     width, height, maxval = fields
     if width <= 0 or height <= 0:
         raise BadHeader(f"nonpositive dimensions {width}x{height}")
-    if maxval not in (255, 65535):
-        raise UnsupportedMaxval(f"maxval {maxval} not supported")
+    if maxval != 255:
+        raise UnsupportedMaxval(f"maxval {maxval} not supported (8-bit PGMs only: maxval 255)")
     if pos >= len(data) or data[pos:pos + 1] not in _WHITESPACE:
         raise BadHeader("expected single whitespace byte after maxval")
     pos += 1
     count = width * height
-    sample_dtype = np.dtype(np.uint8 if maxval == 255 else ">u2")
-    need = count * sample_dtype.itemsize
-    if len(data) - pos < need:
-        raise Truncated(f"need {need} sample bytes, have {len(data) - pos}")
-    samples = np.frombuffer(data, dtype=sample_dtype, count=count, offset=pos)
-    pixels = samples.reshape(height, width)
-    if maxval == 255:
-        return Image8(pixels)
-    return Image16(pixels.astype(np.uint16))
+    if len(data) - pos < count:
+        raise Truncated(f"need {count} sample bytes, have {len(data) - pos}")
+    samples = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos)
+    return Image8(samples.reshape(height, width))
 
 
 def write_pgm(img):
-    """Serialize an image to canonical binary PGM bytes.
-
-    Header is always 'P5\\n<w> <h>\\n<maxval>\\n'; 16-bit samples big-endian.
-    """
-    header = f"P5\n{img.width} {img.height}\n{img.maxval}\n".encode("ascii")
-    if isinstance(img, Image16):
-        body = img.pixels.astype(">u2").tobytes()
-    else:
-        body = img.pixels.tobytes()
-    return header + body
+    """Serialize an Image8 to canonical binary PGM bytes: 'P5\\n<w> <h>\\n255\\n' + samples."""
+    return f"P5\n{img.width} {img.height}\n255\n".encode("ascii") + img.pixels.tobytes()

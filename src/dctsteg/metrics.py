@@ -24,7 +24,7 @@ def mse(f, g):
         raise DimensionMismatch(
             f"{f.width}x{f.height} vs {g.width}x{g.height}"
         )
-    diff = np.subtract(f.pixels, g.pixels, dtype=np.int32).reshape(-1)
+    diff = np.subtract(f.pixels, g.pixels, dtype=np.int16).reshape(-1)
     return float(np.einsum("i,i->", diff, diff, dtype=np.int64) / diff.size)
 
 

@@ -4,7 +4,6 @@ import dctsteg
 
 PUBLIC = {
     "Image8",
-    "Image16",
     "read_pgm",
     "write_pgm",
     "build_frame",

@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dctsteg import (
-    KIND_BYTES, KIND_IMAGE, Image8, Image16, build_frame, embed, extract, read_pgm, write_pgm,
+    KIND_BYTES, KIND_IMAGE, Image8, build_frame, embed, extract, read_pgm, write_pgm,
 )
 from dctsteg.cli import entry
-from dctsteg.errors import BadHeader, InvalidCode, StegError
+from dctsteg.errors import BadHeader, DimensionMismatch, InvalidCode, StegError
 from dctsteg.framing import HEADER_BITS, TABLE_BITS, PayloadFrame, PayloadHeader
 from dctsteg.huffman import Bitstream, build_table, decode
 from support import natural_cover
@@ -311,7 +311,7 @@ def test_empty_table_with_symbols_to_decode_exit_4(capsys, tmp_path, cover_path)
 @pytest.fixture
 def deep_path(tmp_path):
     path = tmp_path / "deep.pgm"
-    path.write_bytes(write_pgm(Image16(np.full((64, 64), 40000, dtype=np.uint16))))
+    path.write_bytes(b"P5\n64 64\n65535\n" + np.full(64 * 64, 40000, dtype=">u2").tobytes())
     return path
 
 
@@ -342,8 +342,44 @@ def test_maxval_without_whitespace_after_it_exit_3(capsys, tmp_path, cover_path)
                  ("embed", "--cover", bad, "--secret", cover_path, "--out", tmp_path / "o")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 3 and out == ""
-        assert err.startswith("error: ")
+        assert err.startswith(f"error: {bad}: ")
     assert not (tmp_path / "o").exists()
+
+
+def test_cover_too_wide_for_a_container_exit_3(capsys, tmp_path):
+    wide = tmp_path / "wide.pgm"
+    rng = np.random.default_rng(14)
+    wide.write_bytes(write_pgm(Image8(rng.integers(0, 256, (8, 65536), dtype=np.uint8))))
+    secret = tmp_path / "secret.bin"
+    secret.write_bytes(b"hello world")
+    out = tmp_path / "out.dsc"
+    code, stdout, err = run_cli(capsys, "embed", "--cover", wide, "--secret", secret,
+                                "--out", out)
+    assert code == 3 and stdout == ""
+    assert err == "error: 65536x8 does not fit the u16 dims of a .dsc\n"
+    assert not out.exists()
+    # spatial8 writes a PGM, whose header holds any width
+    pgm = tmp_path / "out.pgm"
+    code, stdout, _ = run_cli(capsys, "embed", "--cover", wide, "--secret", secret,
+                              "--mode", "spatial8", "--out", pgm)
+    assert code == 0 and "residual_bit_errors=0" in stdout
+    code, _, _ = run_cli(capsys, "extract", "--in", pgm, "--out", tmp_path / "back.bin")
+    assert code == 0 and (tmp_path / "back.bin").read_bytes() == b"hello world"
+
+
+def test_image_secret_too_wide_for_the_frame_header_exit_3(capsys, tmp_path, big_cover_path):
+    with pytest.raises(DimensionMismatch, match="u16"):
+        build_frame(bytes(65536), KIND_IMAGE, (65536, 1))
+    with pytest.raises(DimensionMismatch, match="u16"):
+        build_frame(bytes(1), KIND_IMAGE, (-1, -1))
+    wide = tmp_path / "wide.pgm"
+    wide.write_bytes(write_pgm(Image8(np.zeros((1, 65536), dtype=np.uint8))))
+    out = tmp_path / "out.dsc"
+    code, stdout, err = run_cli(capsys, "embed", "--cover", big_cover_path, "--secret", wide,
+                                "--secret-kind", "image", "--out", out)
+    assert code == 3 and stdout == ""
+    assert "do not fit the header's u16 fields" in err
+    assert not out.exists()
 
 
 def test_verbose_embed_notes_the_frame_on_stderr_only(capsys, tmp_path, cover_path):

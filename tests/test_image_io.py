@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dctsteg import Image8, Image16, read_pgm, write_pgm
+from dctsteg import Image8, read_pgm, write_pgm
 from dctsteg.errors import BadHeader, BadMagic, Truncated, UnsupportedMaxval
 
 
@@ -17,16 +17,8 @@ def test_minimal_8bit_image():
     assert img.pixels[0, 0] == 128
 
 
-def test_minimal_16bit_image_big_endian():
-    img = read_pgm(b"P5\n1 2\n65535\n\x01\x02\xff\xfe")
-    assert isinstance(img, Image16)
-    assert img.pixels[0, 0] == 0x0102
-    assert img.pixels[1, 0] == 0xFFFE
-
-
 def test_write_golden_bytes():
     assert write_pgm(Image8(np.array([[128]]))) == b"P5\n1 1\n255\n\x80"
-    assert write_pgm(Image16(np.array([[65535]]))) == b"P5\n1 1\n65535\n\xff\xff"
 
 
 def test_write_row_major_order():
@@ -69,13 +61,13 @@ def test_unsupported_maxval():
         read_pgm(b"P5\n1 1\n300\n\x00\x00")
     with pytest.raises(UnsupportedMaxval):
         read_pgm(b"P5\n1 1\n16\n\x00")
+    with pytest.raises(UnsupportedMaxval, match="maxval 65535 not supported"):
+        read_pgm(b"P5\n1 2\n65535\n\x01\x02\xff\xfe")  # 16-bit PGMs are not read
 
 
 def test_truncated_samples():
     with pytest.raises(Truncated):
         read_pgm(b"P5\n2 2\n255\n\x00\x01\x02")
-    with pytest.raises(Truncated):
-        read_pgm(b"P5\n1 1\n65535\n\xff")
 
 
 def test_pixel_range_validation():
@@ -89,9 +81,9 @@ def test_pixel_range_validation():
 
 def test_image_equality_is_type_strict():
     a = Image8(np.zeros((1, 1), dtype=np.uint8))
-    b = Image16(np.zeros((1, 1), dtype=np.uint16))
-    assert a != b
-    assert a == Image8(np.zeros((1, 1), dtype=np.uint8))
+    assert a.__eq__(a.pixels) is NotImplemented
+    assert a != Image8(np.ones((1, 1), dtype=np.uint8))
+    assert a == Image8(np.zeros((1, 1), dtype=np.int64))
 
 
 @given(hnp.arrays(np.uint8, st.tuples(st.integers(1, 24), st.integers(1, 24))))
@@ -100,9 +92,3 @@ def test_round_trip_8bit(pixels):
     img = Image8(pixels)
     assert read_pgm(write_pgm(img)) == img
 
-
-@given(hnp.arrays(np.uint16, st.tuples(st.integers(1, 12), st.integers(1, 12))))
-@settings(max_examples=60, deadline=None)
-def test_round_trip_16bit(pixels):
-    img = Image16(pixels)
-    assert read_pgm(write_pgm(img)) == img
