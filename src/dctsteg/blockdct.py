@@ -6,8 +6,8 @@ The transform is the matrix form of
 
 with C(0) = 1/sqrt(2) and C(k) = 1 otherwise, i.e. F = M b M^T for the basis
 matrix M below. The transforms accept a single (8, 8) block or an (n, 8, 8)
-stack. Every path computes a block with the same two matrix products, so
-results are bit-identical regardless of how work is grouped.
+stack, and compute every block with the same two matrix products, so results
+are bit-identical regardless of how work is grouped.
 """
 
 import numpy as np
@@ -29,15 +29,12 @@ _M = _basis_matrix()
 _MT = _M.T.copy()
 
 
-def _batched(op, blocks):
+def _operand(blocks):
+    """blocks as float64 and a fresh (2, *shape) buffer for the two products."""
     arr = np.asarray(blocks, dtype=np.float64)
-    single = arr.ndim == 2
-    if single:
-        arr = arr.reshape(1, BLOCK, BLOCK)
     if arr.shape[-2:] != (BLOCK, BLOCK):
         raise ValueError(f"blocks must be {BLOCK}x{BLOCK}")
-    out = op(arr)
-    return out[0] if single else out
+    return arr, np.empty((2, *arr.shape))
 
 
 def round_half_away(values):
@@ -46,22 +43,28 @@ def round_half_away(values):
     return np.trunc(values + np.copysign(0.5, values))
 
 
+def check_aligned(width, height):
+    """Raise NotBlockAligned unless both dimensions are whole numbers of blocks."""
+    if width % BLOCK or height % BLOCK:
+        raise NotBlockAligned(f"{width}x{height} is not a multiple of {BLOCK}x{BLOCK}")
+
+
+def block_grid(pixels):
+    """The [row, column] 8x8 block view of a block-aligned (height, width) array."""
+    return pixels.reshape(len(pixels) // BLOCK, BLOCK, -1, BLOCK).transpose(0, 2, 1, 3)
+
+
 def partition(img):
     """Split an image into row-major 8x8 pixel blocks, shape (n, 8, 8)."""
     pixels = np.asarray(getattr(img, "pixels", img))
     h, w = pixels.shape
-    if w % BLOCK or h % BLOCK:
-        raise NotBlockAligned(f"{w}x{h} is not a multiple of {BLOCK}x{BLOCK}")
-    grid = pixels.reshape(h // BLOCK, BLOCK, w // BLOCK, BLOCK)
-    return grid.transpose(0, 2, 1, 3).reshape(-1, BLOCK, BLOCK).astype(np.float64)
+    check_aligned(w, h)
+    return block_grid(pixels).reshape(-1, BLOCK, BLOCK).astype(np.float64)
 
 
 def assemble(blocks, width, height):
     """Inverse of partition: row-major blocks back into an (height, width) array."""
-    blocks = np.asarray(blocks)
-    bw = width // BLOCK
-    bh = height // BLOCK
-    grid = blocks.reshape(bh, bw, BLOCK, BLOCK)
+    grid = np.asarray(blocks).reshape(height // BLOCK, width // BLOCK, BLOCK, BLOCK)
     return grid.transpose(0, 2, 1, 3).reshape(height, width)
 
 
@@ -70,18 +73,19 @@ def forward_dct(blocks, out=None):
 
     out, for a float64 stack of n blocks, is a caller-owned (2, n, 8, 8)
     float64 buffer: both products land there and out[1] is returned, so a
-    hot loop allocates nothing. The float operations are the same. The stack
-    itself may be out[1], which the first product reads before the second writes.
+    hot loop allocates nothing and converts nothing. Without it the call
+    makes its own. The stack itself may be out[1], which the first product
+    reads before the second writes.
     """
     if out is None:
-        return _batched(lambda a: _M @ a @ _MT, blocks)
+        blocks, out = _operand(blocks)
     return np.matmul(np.matmul(_M, blocks, out=out[0]), _MT, out=out[1])
 
 
 def inverse_dct(coeffs, out=None):
     """Pixel-domain samples of one coefficient block or a stack; out as for forward_dct."""
     if out is None:
-        return _batched(lambda a: _MT @ a @ _M, coeffs)
+        coeffs, out = _operand(coeffs)
     return np.matmul(np.matmul(_MT, coeffs, out=out[0]), _M, out=out[1])
 
 

@@ -39,7 +39,7 @@ def _load_image8(path, data=None):
 
 def _load_stego(path):
     data = Path(path).read_bytes()
-    if data[:4] == b"DST1":
+    if data[:4] == engine.CONTAINER_MAGIC.to_bytes(4, "big"):
         return engine.StegoContainer.from_bytes(data)
     if data[:2] == b"P5":
         return _load_image8(path, data)

@@ -19,7 +19,6 @@ from .errors import (
     BadHeader,
     BadMagic,
     DimensionMismatch,
-    NotBlockAligned,
     PayloadLengthMismatch,
     PayloadTooLarge,
     Truncated,
@@ -43,8 +42,7 @@ class StegoContainer:
     """
 
     def __init__(self, width, height, coeffs):
-        if width % BLOCK or height % BLOCK:
-            raise NotBlockAligned(f"{width}x{height} is not a multiple of 8")
+        blockdct.check_aligned(width, height)
         if max(width, height) > 0xFFFF:
             raise DimensionMismatch(f"{width}x{height} does not fit the u16 dims of a .dsc")
         coeffs = np.asarray(coeffs)
@@ -73,8 +71,7 @@ class StegoContainer:
             raise BadMagic(f"container magic 0x{magic:08x} != 0x{CONTAINER_MAGIC:08x}")
         if width == 0 or height == 0:
             raise BadHeader("container declares zero dimensions")
-        if width % BLOCK or height % BLOCK:
-            raise NotBlockAligned(f"{width}x{height} is not a multiple of 8")
+        blockdct.check_aligned(width, height)
         count = width * height
         offset = _CONTAINER_HEADER.size
         if len(data) - offset < 2 * count:
@@ -124,8 +121,7 @@ def capacity(width, height):
     The 128-bit header and 2048-bit code table always ride along, so small
     covers bottom out at zero.
     """
-    if width % BLOCK or height % BLOCK:
-        raise NotBlockAligned(f"{width}x{height} is not a multiple of 8")
+    blockdct.check_aligned(width, height)
     return max(0, width * height - FRAME_OVERHEAD_BITS)
 
 
@@ -138,9 +134,9 @@ def _to_pixels(samples):
     return np.clip(np.floor(samples + 0.5), 0.0, 255.0)
 
 
-def _render_blocks(coeffs):
-    """Integer coefficient blocks to 8-bit pixel values (still float dtype)."""
-    return _to_pixels(blockdct.inverse_dct(coeffs))
+def _render_blocks(coeffs, out=None):
+    """Coefficient blocks to 8-bit pixel values (float dtype); out as for inverse_dct."""
+    return _to_pixels(blockdct.inverse_dct(coeffs, out=out))
 
 
 # _BASIS[i] is the inverse-DCT image of a unit coefficient i, flattened
@@ -230,7 +226,7 @@ _REACH = 2.0 * np.sort(np.abs(_BASIS), axis=0)[-_POOL_COEFFS:].sum(axis=0).max()
 _ANCHOR_SCAN = 32  # leading candidates whose offenders are counted first
 _MIN_PASS = 128  # candidates verified in one pass at least
 _RECORD = np.dtype((np.void, BLOCK * BLOCK))  # one block's 64 bools, compared at once
-_CHUNK_BLOCKS = 2048  # blocks per chunk of embed's whole-cover loop, 1 MB per float buffer
+_CHUNK_BLOCKS = 2048  # blocks per chunk of the whole-cover passes, 1 MB per float buffer
 
 
 @functools.cache
@@ -343,62 +339,75 @@ def verify_adjust_block(coeffs, bits, ws=None):
     return best_pixels.astype(np.uint8), best_residual
 
 
+def _chunking(width, height):
+    """Pixel rows per chunk of the whole-cover passes, and a float work buffer for one.
+
+    Chunks are whole block rows: _CHUNK_BLOCKS blocks, or one row at least.
+    """
+    across = width // BLOCK
+    rows = BLOCK * max(1, _CHUNK_BLOCKS // across)
+    return rows, np.empty((2, min(rows, height) // BLOCK * across, BLOCK, BLOCK))
+
+
+def _render(coeffs, width, height, chunking):
+    """The Image8 of coefficient blocks, rendered chunk by chunk."""
+    pixels = np.empty((height, width), dtype=np.uint8)
+    rows, work = chunking
+    for y in range(0, height, rows):
+        band = blockdct.block_grid(pixels[y : y + rows])
+        first, real = y // BLOCK * band.shape[1], work[:, : band.shape[0] * band.shape[1]]
+        real[1] = coeffs[first : first + real.shape[1]]
+        band[...] = _render_blocks(real[1], out=real).reshape(band.shape)
+    return Image8(pixels)
+
+
 def embed(cover, frame, mode="container"):
     """Embed a payload frame into a cover image.
 
     Bit group i of the frame lands in the LSBs of coefficient block i; blocks
     past the frame keep their plain quantized coefficients. Returns
     (StegoContainer, report) in container mode or (Image8, report) in
-    spatial8 mode. One loop over chunks of block rows, each step per block.
+    spatial8 mode. A forward pass, then _render, over chunks of block rows.
     """
     if mode not in ("container", "spatial8"):
         raise ValueError(f"unknown mode {mode!r}")
     height, width = cover.height, cover.width
-    if width % BLOCK or height % BLOCK:
-        raise NotBlockAligned(f"{width}x{height} is not a multiple of {BLOCK}x{BLOCK}")
+    blockdct.check_aligned(width, height)
     if frame.bit_length > width * height:
         raise PayloadTooLarge(
             f"frame of {frame.bit_length} bits exceeds {width * height} coefficient slots"
         )
     bits = frame.bits.bits.reshape(-1, BLOCK, BLOCK)
     used = len(bits)
-    across = width // BLOCK
-    rows = BLOCK * max(1, _CHUNK_BLOCKS // across)  # pixel rows per chunk
     coeffs = np.empty((width * height // BLOCK**2, BLOCK, BLOCK), dtype=np.int16)
-    stego = np.empty((height, width), dtype=np.uint8)
-    grid = stego.reshape(-1, BLOCK, across, BLOCK).transpose(0, 2, 1, 3)  # [row, column] blocks
-    work = np.empty((2, min(rows, height) // BLOCK * across, BLOCK, BLOCK))
+    rows, work = chunking = _chunking(width, height)  # a fresh buffer per pass costs more
     for y in range(0, height, rows):
         part = blockdct.partition(cover.pixels[y : y + rows])
-        first, real = y // BLOCK * across, work[:, : len(part)]
+        first = y // BLOCK * (width // BLOCK)
         chunk = coeffs[first : first + len(part)]
-        chunk[...] = blockdct.quantize(blockdct.forward_dct(part, out=real))
+        chunk[...] = blockdct.quantize(blockdct.forward_dct(part, out=work[:, : len(part)]))
         marked = chunk[: max(0, used - first)]
         marked[...] = set_lsb(marked, bits[first : first + len(marked)])
-        real[1] = chunk
-        samples = _to_pixels(blockdct.inverse_dct(real[1], out=real))
-        grid[y // BLOCK : (y + rows) // BLOCK] = samples.reshape(-1, across, BLOCK, BLOCK)
+    stego = _render(coeffs, width, height, chunking)
     residual = 0
     if mode == "spatial8":
-        ws = _Workspace()
+        ws, grid = _Workspace(), blockdct.block_grid(stego.pixels)
         for i in range(used):
-            grid[divmod(i, across)], errors = verify_adjust_block(coeffs[i], bits[i], ws)
+            grid[divmod(i, width // BLOCK)], errors = verify_adjust_block(coeffs[i], bits[i], ws)
             residual += errors
-    stego = Image8(stego)
     score = metrics.psnr(cover, stego)
     report = EmbedReport(used, frame.header.payload_bit_length, score.psnr_db, residual)
     return (StegoContainer(width, height, coeffs) if mode == "container" else stego), report
 
 
 def render(container):
-    """8-bit view of a container: inverse transform, round, clamp.
+    """8-bit view of a container: the render pass of embed, chunk by chunk.
 
     For viewing and fidelity scoring; extraction in container mode reads the
     coefficients directly.
     """
-    blocks = _render_blocks(container.coeffs)
-    pixels = blockdct.assemble(blocks, container.width, container.height)
-    return Image8(pixels.astype(np.uint8))
+    width, height = container.width, container.height
+    return _render(container.coeffs, width, height, _chunking(width, height))
 
 
 def read_frame(stego):

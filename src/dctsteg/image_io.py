@@ -4,12 +4,11 @@
 header form so golden byte comparisons are stable.
 """
 
+import re
+
 import numpy as np
 
 from .errors import BadHeader, BadMagic, Truncated, UnsupportedMaxval
-
-_WHITESPACE = b" \t\n\r\x0b\x0c"
-
 
 class Image8:
     """8-bit grayscale raster: pixels is a (height, width) uint8 array."""
@@ -43,24 +42,9 @@ class Image8:
         return f"Image8({self.width}x{self.height})"
 
 
-def _next_token(data, pos):
-    """Skip whitespace and '#' comments, then collect one header token."""
-    n = len(data)
-    while pos < n:
-        ch = data[pos:pos + 1]
-        if ch in (b"#",):
-            while pos < n and data[pos:pos + 1] != b"\n":
-                pos += 1
-        elif ch in _WHITESPACE:
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and data[pos:pos + 1] not in _WHITESPACE and data[pos:pos + 1] != b"#":
-        pos += 1
-    if start == pos:
-        raise BadHeader("header ended before all fields were read")
-    return data[start:pos], pos
+# ASCII whitespace and whole '#' comments (the lookahead bars backtracking
+# into one), then one header token
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]+)")
 
 
 def read_pgm(data):
@@ -75,17 +59,19 @@ def read_pgm(data):
     pos = 2
     fields = []
     for _ in range(3):
-        token, pos = _next_token(data, pos)
-        try:
-            fields.append(int(token))
-        except ValueError:
-            raise BadHeader(f"non-numeric header field {token!r}") from None
+        token = _TOKEN.match(data, pos)
+        if token is None:
+            raise BadHeader("header ended before all fields were read")
+        if not token[1].isdigit():  # ASCII digits only: int() would also take '+' and '_'
+            raise BadHeader(f"non-numeric header field {token[1]!r}")
+        fields.append(int(token[1]))
+        pos = token.end()
     width, height, maxval = fields
     if width <= 0 or height <= 0:
         raise BadHeader(f"nonpositive dimensions {width}x{height}")
     if maxval != 255:
         raise UnsupportedMaxval(f"maxval {maxval} not supported (8-bit PGMs only: maxval 255)")
-    if pos >= len(data) or data[pos:pos + 1] not in _WHITESPACE:
+    if not data[pos:pos + 1].isspace():
         raise BadHeader("expected single whitespace byte after maxval")
     pos += 1
     count = width * height

@@ -19,7 +19,12 @@ from dctsteg.blockdct import (
 )
 from dctsteg.engine import get_lsb
 from dctsteg.errors import NotBlockAligned
-from support import literal_forward, literal_inverse, oracle_forward_many
+from support import (
+    literal_forward,
+    literal_inverse,
+    oracle_forward_many,
+    oracle_inverse_many,
+)
 
 pixel_blocks = hnp.arrays(np.uint8, (8, 8))
 
@@ -60,12 +65,22 @@ def test_forward_matches_scipy_orthonormal():
 
 
 def test_batched_forward_matches_single():
-    rng = np.random.default_rng(10)
-    blocks = rng.uniform(0.0, 255.0, (17, 8, 8))
-    batched = forward_dct(blocks)
-    for i in range(17):
-        assert np.array_equal(batched[i], forward_dct(blocks[i]))
-    assert np.abs(batched - oracle_forward_many(blocks)).max() < 1e-9
+    # and so does the inverse, each with and without a caller's buffer
+    blocks = np.random.default_rng(10).uniform(-255.0, 255.0, (17, 8, 8))
+    for transform, oracle in [(forward_dct, oracle_forward_many), (inverse_dct, oracle_inverse_many)]:
+        batched = transform(blocks)
+        for i in range(17):
+            assert np.array_equal(batched[i], transform(blocks[i]))
+            assert np.array_equal(batched[i], transform(blocks[i], out=np.empty((2, 8, 8))))
+        assert np.array_equal(batched, transform(blocks, out=np.empty((2, 17, 8, 8))))
+        assert np.abs(batched - oracle(blocks)).max() < 1e-9
+
+
+@pytest.mark.parametrize("transform", [forward_dct, inverse_dct])
+def test_transforms_reject_blocks_of_other_shapes(transform):
+    for shape in [(8,), (8, 7), (3, 7, 8), ()]:
+        with pytest.raises(ValueError):
+            transform(np.zeros(shape))
 
 
 @given(pixel_blocks)

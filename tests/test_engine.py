@@ -206,6 +206,7 @@ def test_chunked_container_embed_equals_the_whole_cover_reference(width, height)
         assert report.blocks_used == used
         assert np.array_equal(container.coeffs, coeffs), used
         assert report.psnr_db == psnr(cover, Image8(pixels)).psnr_db, used
+        assert np.array_equal(render(container).pixels, pixels), used
     # with no payload block, the spatial8 artifact is the chunked render itself
     stego, report = embed(cover, _frame_of_blocks(0, 0), mode="spatial8")
     assert np.array_equal(stego.pixels, reference_embed(cover, _frame_of_blocks(0, 0))[1])
@@ -224,6 +225,9 @@ def test_chunked_spatial8_embed_equals_the_whole_cover_reference(monkeypatch, ch
         _, pixels, residual = reference_embed(cover, frame, mode="spatial8")
         assert report.residual_bit_errors == residual, used
         assert np.array_equal(stego.pixels, pixels), used
+        container, _ = embed(cover, frame)
+        rendered = reference_embed(cover, frame)[1]
+        assert np.array_equal(render(container).pixels, rendered), used
 
 
 def test_container_embed_allocates_chunk_sized_temporaries():
@@ -239,6 +243,20 @@ def test_container_embed_allocates_chunk_sized_temporaries():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_render_allocates_chunk_sized_temporaries():
+    # The uint8 render of a 1024^2 container is 1 MiB; one whole-cover
+    # float64 temporary alone would be 8 MiB.
+    container, _ = embed(_cover(1024, 1024, 82), build_frame(b"render in chunks"))
+    render(container)
+    tracemalloc.start()
+    try:
+        render(container)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_render_known_blocks():

@@ -33,6 +33,40 @@ def test_header_comments_and_whitespace():
     assert img.pixels.tolist() == [[0, 255]]
 
 
+_WHITESPACE = [bytes([c]) for c in b" \t\n\r\x0b\x0c"]
+# comment bodies that hold header-like tokens, or any bytes but a newline
+_COMMENT = st.one_of(
+    st.lists(st.sampled_from([b" ", b"\t", b"#", b"8", b"255", b"x"]), max_size=6).map(b"".join),
+    st.binary(max_size=12).map(lambda body: body.replace(b"\n", b" ")),
+).map(lambda body: b"#" + body)
+_SEPARATORS = st.lists(
+    st.one_of(st.sampled_from(_WHITESPACE), _COMMENT.map(lambda c: c + b"\n")), min_size=1
+).map(b"".join)
+
+
+@given(
+    st.integers(1, 40), st.integers(1, 40), st.lists(_SEPARATORS, min_size=3, max_size=3),
+    st.sampled_from(_WHITESPACE),
+)
+@settings(max_examples=200, deadline=None)
+def test_fields_between_any_whitespace_and_comments(width, height, separators, last):
+    pixels = np.arange(width * height, dtype=np.uint8).reshape(height, width)
+    fields = [str(width).encode(), str(height).encode(), b"255"]
+    header = b"P5" + b"".join(sep + field for sep, field in zip(separators, fields))
+    img = read_pgm(header + last + pixels.tobytes())
+    assert (img.width, img.height) == (width, height)
+    assert np.array_equal(img.pixels, pixels)
+
+
+@given(st.integers(0, 2), st.lists(_SEPARATORS, min_size=3, max_size=3), _COMMENT)
+@settings(max_examples=200, deadline=None)
+def test_comment_without_newline_before_the_last_field(read, separators, comment):
+    fields = [b"8", b"8", b"255"][:read]
+    header = b"P5" + b"".join(sep + field for sep, field in zip(separators, fields))
+    with pytest.raises(BadHeader):
+        read_pgm(header + separators[read] + comment)
+
+
 def test_trailing_bytes_ignored():
     img = read_pgm(b"P5\n1 1\n255\n\x07garbage")
     assert img.pixels[0, 0] == 7
@@ -54,6 +88,9 @@ def test_bad_header_fields():
         read_pgm(b"P5\n1 -1\n255\n")
     with pytest.raises(BadHeader):
         read_pgm(b"P5\n1 1")  # header ends early
+    for header in (b"P5\n+8 8\n255\n", b"P5\n8 8\n2_55\n", b"P5\n0_8 8\n255\n"):
+        with pytest.raises(BadHeader, match="non-numeric header field"):
+            read_pgm(header + bytes(64))  # int() would read these fields
 
 
 def test_unsupported_maxval():
