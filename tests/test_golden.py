@@ -1,15 +1,26 @@
 """Byte-identity pins: SHA-256 digests of frames and artifacts.
 
 The digests are fixed values, so any change to the frame bits, the container
-wire bytes or the spatial8 render shows up here as a failing digest.
+wire bytes or the spatial8 render shows up here as a failing digest. The
+version-1 fixtures are artifacts written by an earlier embedder; whatever the
+embed side becomes, they must keep extracting byte-exact.
 """
 
 import hashlib
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from dctsteg import KIND_IMAGE, Image8, build_frame, embed, write_pgm
+from dctsteg import (
+    KIND_IMAGE, Image8, StegoContainer, build_frame, embed, extract, read_pgm, write_pgm,
+)
+from dctsteg.cli import entry
 from support import low_entropy_secret, natural_cover
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def sha256(data):
@@ -48,3 +59,30 @@ def test_spatial8_pgm_digest():
     assert sha256(write_pgm(stego)) == (
         "6ca8767903a0a4499f908d8d724c79853c61162e81b1fa9bc0a42c677962362f"
     )
+
+
+# Both hold natural_cover(64, 64, 42): the container with RANDOM_SECRET, the
+# PGM with b"golden spatial8 secret".
+V1_FIXTURES = {
+    "v1_container.dsc": (
+        "6e2d20a97b0880a07a2a699d13823cb4114bdc40b2dcc7217193cdfae4083823", RANDOM_SECRET,
+    ),
+    "v1_spatial8.pgm": (
+        "6ca8767903a0a4499f908d8d724c79853c61162e81b1fa9bc0a42c677962362f",
+        b"golden spatial8 secret",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(V1_FIXTURES))
+def test_v1_fixtures_extract_byte_exact(name, tmp_path):
+    digest, secret = V1_FIXTURES[name]
+    data = (FIXTURES / name).read_bytes()
+    assert sha256(data) == digest
+    stego = StegoContainer.from_bytes(data) if name.endswith(".dsc") else read_pgm(data)
+    assert extract(stego)[0] == secret
+    out = tmp_path / "secret.bin"
+    with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+        code = entry(["extract", "--in", str(FIXTURES / name), "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == secret
