@@ -7,7 +7,6 @@ per payload block, because rounding pixels to integers perturbs coefficient
 LSBs; residual errors are reported honestly instead of hidden.
 """
 
-import functools
 import struct
 from dataclasses import dataclass
 
@@ -134,11 +133,6 @@ def _to_pixels(samples):
     return np.clip(np.floor(samples + 0.5), 0.0, 255.0)
 
 
-def _render_blocks(coeffs, out=None):
-    """Coefficient blocks to 8-bit pixel values (float dtype); out as for inverse_dct."""
-    return _to_pixels(blockdct.inverse_dct(coeffs, out=out))
-
-
 # _BASIS[i] is the inverse-DCT image of a unit coefficient i, flattened
 _BASIS = blockdct.inverse_dct(np.eye(BLOCK * BLOCK).reshape(-1, BLOCK, BLOCK)).reshape(
     BLOCK * BLOCK, BLOCK * BLOCK
@@ -153,85 +147,83 @@ class _Workspace:
     to the OS and faulted in again, which cost more than the arithmetic.
     Rows [start, stop) of each buffer belong to the pool's candidates
     start..stop-1; views into them are overwritten by the next pool.
-    Column 0 of lift is always 1.
     """
 
-    __slots__ = ("lift", "pixels", "work", "masks")
+    __slots__ = ("pixels", "work", "masks")
 
     def __init__(self):
-        self.lift = np.ones((_POOL_CAP, _POOL_COEFFS + 1))
         self.pixels = np.empty((_POOL_CAP, BLOCK * BLOCK))
         self.work = np.empty((2, _POOL_CAP, BLOCK, BLOCK))
         self.masks = np.empty((_POOL_CAP, BLOCK, BLOCK), dtype=bool)
 
 
-def _pool_factor(offenders, samples):
+def _pool_factor(slots, samples):
     """Right factor of a pool's lifted samples, and whether any can clamp.
 
     Row 0 is cur's samples + 0.5 + _TIE_EPS and row 1 + j the basis image
-    of offender j, so [1 | pattern row] @ factor is a candidate's samples
-    + 0.5 + _TIE_EPS. No candidate's sample lies further than _REACH from
-    cur's, so a pool clamps only near 0 or 255.
+    of slot j, so _LIFT's row @ factor is a candidate's samples + 0.5 +
+    _TIE_EPS. No candidate's sample lies further than _REACH from cur's,
+    so a pool clamps only near 0 or 255.
     """
-    factor = np.concatenate((samples.reshape(1, -1) + (0.5 + _TIE_EPS), _BASIS[offenders]))
+    factor = np.concatenate((samples.reshape(1, -1) + (0.5 + _TIE_EPS), _BASIS[slots]))
     return factor, bool(samples.min() < _REACH or samples.max() > 255.0 - _REACH)
 
 
-def _candidate_pixels(cur, pool, offenders, rows, ws, start):
-    """Pixels of cur nudged by each pattern row on the offender slots, (k,8,8).
+def _candidate_pixels(cur, pool, slots, start, stop, ws):
+    """Pixels (k,8,8) of cur nudged by pattern rows start..stop-1, and rounding energies.
 
-    Written to the workspace rows from start on. Samples are cur's own
-    samples plus the nudged basis images, one small product instead of an
-    inverse DCT per candidate. That sum differs from the full render by
-    float noise, which only matters where a sample sits on a .5 rounding
-    tie; candidates with such a sample are re-rendered through
-    _render_blocks, so every pixel equals the full render's. pool is
-    _pool_factor(offenders, samples of cur), built once per round for all
-    its passes.
+    A candidate's energy is sum (v - round(v))^2 over its samples v before
+    the clip. The pixels are written to the same workspace rows. Samples
+    are cur's own samples plus the nudged basis images, one small product
+    instead of an inverse DCT per candidate. That sum differs from the full
+    render by float noise, which only matters where a sample sits on a .5
+    rounding tie; candidates with such a sample take the full inverse DCT's
+    samples, so every pixel equals the full render's. pool is
+    _pool_factor(slots, samples of cur), built once per round for all its
+    passes.
     """
     factor, clamps = pool
-    stop = start + len(rows)
-    left = ws.lift[start:stop, : len(offenders) + 1]
-    left[:, 1:] = rows
     lifted = ws.work[0, start:stop].reshape(-1, BLOCK * BLOCK)
     pixels = ws.pixels[start:stop]
     # each sample v as v + 0.5 + eps, whose floor is floor(v + 0.5) unless v is on a tie
-    np.matmul(left, factor, out=lifted)
+    np.matmul(_LIFT[start:stop], factor, out=lifted)
     np.floor(lifted, out=pixels)
-    lifted -= pixels  # below 2 eps where v is within eps of a tie
-    if lifted.min() < 2 * _TIE_EPS:
-        ties = np.flatnonzero((lifted < 2 * _TIE_EPS).any(axis=1))
-        pixels[ties] = _render_blocks(_nudged(cur, offenders, rows[ties])).reshape(
-            -1, BLOCK * BLOCK
-        )
+    lifted -= pixels
+    lifted -= 0.5 + _TIE_EPS  # v - round(v), below eps - 0.5 where v is within eps of a tie
+    if lifted.min() < _TIE_EPS - 0.5:
+        ties = np.flatnonzero((lifted < _TIE_EPS - 0.5).any(axis=1))
+        exact = blockdct.inverse_dct(_nudged(cur, slots, _ROWS[start:stop][ties]))
+        pixels[ties] = np.floor(exact + 0.5).reshape(-1, BLOCK * BLOCK)
+        lifted[ties] = exact.reshape(-1, BLOCK * BLOCK) - pixels[ties]
     if clamps:
         np.clip(pixels, 0.0, 255.0, out=pixels)
-    return pixels.reshape(-1, BLOCK, BLOCK)
+    return pixels.reshape(-1, BLOCK, BLOCK), np.einsum("ij,ij->i", lifted, lifted)
 
 
-def _nudged(cur, offenders, rows):
-    """Coefficient blocks cur + each row on the offender slots, (k,8,8)."""
+def _nudged(cur, slots, rows):
+    """Coefficient blocks cur + each row on the slots, (k,8,8)."""
     cands = np.repeat(cur.reshape(1, -1), len(rows), axis=0)
-    cands[:, offenders] += rows.astype(np.int64)
+    cands[:, slots] += rows.astype(np.int64)
     return cands.reshape(-1, BLOCK, BLOCK)
 
 
-_POOL_COEFFS = 7  # offenders enumerated per round (3^7 - 1 = 2186 patterns)
+_POOL_COEFFS = 7  # slots nudged per round (3^7 - 1 = 2186 patterns)
 _POOL_CAP = 2048  # candidate perturbations evaluated per round
-_MIN_FANOUT = 7   # re-anchor where the next offender set is at least this big
 _MAX_ROUNDS = 16
 # no candidate's sample lies further than _REACH from its anchor's: pattern
 # rows move at most _POOL_COEFFS coefficients, by 2 each
 _REACH = 2.0 * np.sort(np.abs(_BASIS), axis=0)[-_POOL_COEFFS:].sum(axis=0).max()
-_ANCHOR_SCAN = 32  # leading candidates whose offenders are counted first
+# The DCT is orthonormal, so a candidate's coefficient error has the energy of
+# its rounding error (Parseval); a clean one needs all 64 under 0.5. The cut is
+# the mean energy of 64 uniform rounding errors.
+_ENERGY_CUT = BLOCK * BLOCK / 12
 _MIN_PASS = 128  # candidates verified in one pass at least
 _RECORD = np.dtype((np.void, BLOCK * BLOCK))  # one block's 64 bools, compared at once
 _CHUNK_BLOCKS = 2048  # blocks per chunk of the whole-cover passes, 1 MB per float buffer
 
 
-@functools.cache
-def _sign_patterns(n):
-    """All nonzero {0, +2, -2} rows over n slots, sparsest first, capped.
+def _sign_patterns():
+    """All nonzero {0, +2, -2} rows over the _POOL_COEFFS slots, sparsest first, capped.
 
     Returns (rows, passes): rows are float64 (the values are exact), and
     passes are (start, stop) row ranges in pool order, each of whole tiers
@@ -240,8 +232,8 @@ def _sign_patterns(n):
     whichever tiers share a pass; a pass costs some 30 array calls whatever
     its size, and sparse tiers rarely hold a clean candidate.
     """
-    k = np.arange(1, 3 ** n)
-    digits = (k[:, None] // 3 ** np.arange(n)) % 3
+    k = np.arange(1, 3**_POOL_COEFFS)
+    digits = (k[:, None] // 3 ** np.arange(_POOL_COEFFS)) % 3
     values = np.where(digits == 0, 0.0, np.where(digits == 1, 2.0, -2.0))
     nonzero = (digits != 0).sum(axis=1)
     order = np.argsort(nonzero, kind="stable")
@@ -254,25 +246,18 @@ def _sign_patterns(n):
     return rows, passes
 
 
-def _anchor(cur, offenders, rows, bits, seen, ws):
-    """Pool index of the next anchor, or None where every candidate was one.
+_ROWS, _PASSES = _sign_patterns()
+_LIFT = np.concatenate((np.ones((len(_ROWS), 1)), _ROWS), axis=1)  # [1 | row] per candidate
 
-    The first unseen candidate with at least _MIN_FANOUT offenders, else the
-    unseen one with the most (the first among equals); ws.masks holds the
-    parities of the whole pool. Offenders are counted on the leading
-    _ANCHOR_SCAN candidates first, where that anchor nearly always is, and
-    on the whole pool only where it is not.
+
+def _rounding_key(samples):
+    """The fractional parts of a state's samples, in steps of _TIE_EPS.
+
+    States whose samples differ by whole numbers, such as +2 on each of
+    (0,0), (0,4), (4,0) and (4,4), have the same rounding errors and, away
+    from the clamps, the same parities; they share this key.
     """
-    size = len(rows)
-    for stop in sorted({min(_ANCHOR_SCAN, size), size}):
-        counts = (ws.masks[:stop] ^ bits).sum(axis=(1, 2))
-        order = np.flatnonzero(counts >= _MIN_FANOUT)
-        if stop == size:
-            order = np.concatenate((order, np.argsort(-counts, kind="stable")))
-        for k in order:
-            if _nudged(cur, offenders, rows[k : k + 1]).tobytes() not in seen:
-                return k
-    return None
+    return (np.rint(samples / _TIE_EPS).astype(np.int64) % round(1 / _TIE_EPS)).tobytes()
 
 
 def verify_adjust_block(coeffs, bits, ws=None):
@@ -280,35 +265,35 @@ def verify_adjust_block(coeffs, bits, ws=None):
 
     coeffs must already carry bits in its LSBs. Pixel rounding re-rolls the
     recovered parity of all 64 coefficients at once, so there is no way to
-    repair one coefficient in isolation; instead each round renders
-    candidate +-2 nudges of the currently offending coefficients (LSBs are
-    preserved by even steps) and commits the first clean candidate in pool
-    order, the sparsest. The pool is verified in passes of whole
-    nonzero-count tiers (see _sign_patterns), sparsest first, and stops at the
-    first pass holding a clean candidate. When no candidate is clean the
-    search re-anchors on an unseen candidate whose own offender set is wide
-    (see _anchor), keeping later rounds' candidate pools large. At most 16
+    repair one coefficient in isolation; instead each round renders every
+    +-2 nudge pattern (LSBs are preserved by even steps) of 7 slots: the
+    offending coefficients in raster order, then the others whose rendered
+    value lies furthest from cur's. Of those, the candidates whose rounding
+    energy is below _ENERGY_CUT are verified in passes of whole
+    nonzero-count tiers (see _sign_patterns), and the first clean one in
+    pool order, the sparsest, is committed. Else the search re-anchors on
+    the verified candidate with the fewest offenders (the first in pool
+    order among equals) whose _rounding_key no anchor had. At most 16
     rounds; returns (pixels, residual_errors) with failures reported rather
     than raised. ws is the _Workspace the pools are evaluated in; without
     one the call makes its own.
 
-    Candidates are rendered incrementally from the current block's samples
-    (see _candidate_pixels). Only the render side takes that shortcut: a
-    coefficient near a rounding tie (a DC term is the block sum / 8, so
-    about one block in eight) recovers whichever way float noise in the
-    forward path sends it, so verify reads parity through
-    blockdct.lsb_parity, the forward path extract uses. The render side
-    must still equal the full render, hence the tie guard.
+    Candidates are rendered incrementally (see _candidate_pixels). Only the
+    render side takes that shortcut: a coefficient near a rounding tie (a DC
+    term is the block sum / 8, so about one block in eight) recovers
+    whichever way float noise in the forward path sends it, so verify reads
+    parity through blockdct.lsb_parity, the forward path extract uses. The
+    screen only picks which candidates are verified, and the tie guard keeps
+    every rendered pixel equal to the full render's.
     """
     if ws is None:
         ws = _Workspace()
     cur = np.asarray(coeffs, dtype=np.int64).reshape(BLOCK, BLOCK).copy()
     bits = np.asarray(bits).reshape(BLOCK, BLOCK).astype(bool)
     bit_record = bits.reshape(-1).view(_RECORD)
-    seen = {cur.tobytes()}
-    best_pixels = None
-    best_residual = BLOCK * BLOCK + 1
+    best_pixels, best_residual = None, BLOCK * BLOCK + 1
     samples = blockdct.inverse_dct(cur)
+    seen = {_rounding_key(samples)}
     pix = _to_pixels(samples)
     mask = blockdct.lsb_parity(pix[None])[0] ^ bits
     for round_no in range(_MAX_ROUNDS + 1):
@@ -319,23 +304,36 @@ def verify_adjust_block(coeffs, bits, ws=None):
         if wrong == 0 or round_no == _MAX_ROUNDS:
             break
         offenders = np.flatnonzero(mask.ravel())[:_POOL_COEFFS]
-        rows, passes = _sign_patterns(len(offenders))
-        pool = _pool_factor(offenders, samples)
-        for start, stop in passes:
-            pixels = _candidate_pixels(cur, pool, offenders, rows[start:stop], ws, start)
-            parity = blockdct.lsb_parity(pixels, ws.work[:, start:stop], ws.masks[start:stop])
+        distance = np.abs(blockdct.forward_dct(pix) - cur).ravel()
+        distance[offenders] = -1.0  # sorts the offenders after every other coefficient
+        spare = np.argsort(-distance, kind="stable")[: _POOL_COEFFS - len(offenders)]
+        slots = np.concatenate((offenders, spare))
+        pool = _pool_factor(slots, samples)
+        screened, verified = [], []  # pool indices, and the ws.masks rows of their parities
+        for start, stop in _PASSES:
+            pixels, energy = _candidate_pixels(cur, pool, slots, start, stop, ws)
+            keep = np.flatnonzero(energy < _ENERGY_CUT)
+            rows = slice(start, start + len(keep))
+            np.take(pixels, keep, axis=0, out=ws.work[1, rows])
+            parity = blockdct.lsb_parity(ws.work[1, rows], ws.work[:, rows], ws.masks[rows])
             # clean where a candidate's 64 parities, as one record, are bits
             hits = np.flatnonzero(parity.reshape(-1, BLOCK * BLOCK).view(_RECORD) == bit_record)
             if hits.size:
-                return pixels[hits[0]].astype(np.uint8), 0
-        k = _anchor(cur, offenders, rows, bits, seen, ws)
-        if k is None:
-            break  # every candidate was an anchor already
-        cur = _nudged(cur, offenders, rows[k : k + 1])[0]
-        seen.add(cur.tobytes())
-        mask = ws.masks[k] ^ bits
-        pix = ws.pixels[k].reshape(BLOCK, BLOCK).copy()
-        samples = blockdct.inverse_dct(cur)
+                return pixels[keep[hits[0]]].astype(np.uint8), 0
+            screened.append(start + keep)
+            verified.append(np.arange(rows.start, rows.stop))
+        screened, verified = np.concatenate(screened), np.concatenate(verified)
+        counts = np.count_nonzero((ws.masks[verified] ^ bits).reshape(-1, BLOCK * BLOCK), axis=1)
+        for j in np.argsort(counts, kind="stable"):  # the fewest offenders, unseen
+            nudged = _nudged(cur, slots, _ROWS[screened[j], None])[0]
+            samples = blockdct.inverse_dct(nudged)
+            if _rounding_key(samples) not in seen:
+                break
+        else:
+            break  # no unseen screened candidate
+        cur, mask = nudged, ws.masks[verified[j]] ^ bits
+        seen.add(_rounding_key(samples))
+        pix = ws.pixels[screened[j]].reshape(BLOCK, BLOCK).copy()
     return best_pixels.astype(np.uint8), best_residual
 
 
@@ -357,7 +355,7 @@ def _render(coeffs, width, height, chunking):
         band = blockdct.block_grid(pixels[y : y + rows])
         first, real = y // BLOCK * band.shape[1], work[:, : band.shape[0] * band.shape[1]]
         real[1] = coeffs[first : first + real.shape[1]]
-        band[...] = _render_blocks(real[1], out=real).reshape(band.shape)
+        band[...] = _to_pixels(blockdct.inverse_dct(real[1], out=real)).reshape(band.shape)
     return Image8(pixels)
 
 

@@ -42,9 +42,9 @@ class Image8:
         return f"Image8({self.width}x{self.height})"
 
 
-# ASCII whitespace and whole '#' comments (the lookahead bars backtracking
-# into one), then one header token
-_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]+)")
+# One or more ASCII whitespace bytes and whole '#' comments (the lookahead
+# bars backtracking into one; netpbm requires one after the magic), a token
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?![^\n]))+([^\s#]+)")
 
 
 def read_pgm(data):
@@ -61,7 +61,7 @@ def read_pgm(data):
     for _ in range(3):
         token = _TOKEN.match(data, pos)
         if token is None:
-            raise BadHeader("header ended before all fields were read")
+            raise BadHeader(f"header field {len(fields) + 1} missing or not separated")
         if not token[1].isdigit():  # ASCII digits only: int() would also take '+' and '_'
             raise BadHeader(f"non-numeric header field {token[1]!r}")
         fields.append(int(token[1]))

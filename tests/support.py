@@ -219,16 +219,24 @@ def _reference_patterns(n, cap=2048):
 def reference_verify_adjust_block(coeffs, bits):
     """Full-render verify/adjust search, the oracle for the library's search.
 
-    A transcription of the original search: each round renders the whole
-    capped pool of +-2 nudges through the full inverse DCT, verifies it in
-    one batch, and commits the first clean candidate, else re-anchors. The
-    library's incremental, tiered search must return the same
-    (pixels, residual).
+    A transcription of the search rule. Each round nudges 7 slots: the
+    offenders in raster order, then the non-offenders whose rendered
+    coefficient lies furthest from cur. It renders the whole capped pool of
+    +-2 nudges through the full inverse DCT, takes each candidate's rounding
+    energy from those samples before the clip, and verifies in one batch.
+    Of the candidates with energy below 64/12 it commits the first clean
+    one in pool order, else re-anchors on the unseen one with the fewest
+    offenders. A state counts as seen when its samples differ from an
+    anchor's by whole numbers. The library's incremental, screened, tiered
+    search must return the same (pixels, residual).
     """
-    pool_coeffs, min_fanout, max_rounds = 7, 7, 16
+    from dctsteg.blockdct import forward_dct, inverse_dct, round_half_away
+
+    pool_coeffs, max_rounds, cut = 7, 16, 64 / 12
+    rows = _reference_patterns(pool_coeffs)
     cur = np.asarray(coeffs, dtype=np.int64).reshape(8, 8).copy()
     bits = np.asarray(bits, dtype=np.int64).reshape(8, 8)
-    seen = {cur.tobytes()}
+    seen = [inverse_dct(cur)]  # the samples of every anchor
     best_pixels = None
     best_residual = 65
     masks, pixels = _reference_mismatch(cur[None], bits)
@@ -240,32 +248,32 @@ def reference_verify_adjust_block(coeffs, bits):
             best_pixels = pix
         if wrong == 0 or round_no == max_rounds:
             break
-        offenders = np.flatnonzero(mask.ravel())[:pool_coeffs]
-        rows = _reference_patterns(len(offenders))
+        offenders = [int(i) for i in np.flatnonzero(mask.ravel())[:pool_coeffs]]
+        distance = np.abs(forward_dct(pix) - cur).ravel()
+        others = sorted(set(range(64)) - set(offenders), key=lambda i: -distance[i])
+        slots = offenders + others[: pool_coeffs - len(offenders)]
         pool = np.zeros((len(rows), 64), dtype=np.int64)
-        pool[:, offenders] = rows
+        pool[:, slots] = rows
         cands = (cur.reshape(-1)[None, :] + pool).reshape(-1, 8, 8)
+        samples = inverse_dct(cands)
+        energy = ((samples - round_half_away(samples)) ** 2).sum(axis=(1, 2))
         masks, pixels = _reference_mismatch(cands, bits)
-        counts = masks.sum(axis=(1, 2))
-        clean = np.flatnonzero(counts == 0)
-        if clean.size:
+        screened = np.flatnonzero(energy < cut)
+        counts = masks[screened].sum(axis=(1, 2))
+        if (counts == 0).any():
             best_residual = 0
-            best_pixels = pixels[clean[0]]
+            best_pixels = pixels[screened[np.argmax(counts == 0)]]
             break
         chosen = None
-        for k in np.flatnonzero(counts >= min_fanout):
-            if cands[k].tobytes() not in seen:
+        for k in screened[np.argsort(counts, kind="stable")]:
+            shifts = [samples[k] - anchor for anchor in seen]
+            if all(np.abs(d - np.rint(d)).max() > 1e-6 for d in shifts):
                 chosen = int(k)
                 break
         if chosen is None:
-            for k in np.argsort(-counts, kind="stable"):
-                if cands[int(k)].tobytes() not in seen:
-                    chosen = int(k)
-                    break
-        if chosen is None:
             break
         cur = cands[chosen]
-        seen.add(cur.tobytes())
+        seen.append(samples[chosen])
         mask, pix = masks[chosen], pixels[chosen]
     return best_pixels.astype(np.uint8), best_residual
 
@@ -279,13 +287,13 @@ def reference_embed(cover, frame, mode="container"):
     coefficients, uint8 pixels of the render, residual bit errors).
     """
     from dctsteg import engine
-    from dctsteg.blockdct import assemble, forward_dct, partition, quantize
+    from dctsteg.blockdct import assemble, forward_dct, inverse_dct, partition, quantize
 
     coeffs = quantize(forward_dct(partition(cover)))
     bit_blocks = frame.bits.bits.reshape(-1, 8, 8).astype(np.int64)
     used = len(bit_blocks)
     coeffs[:used] = engine.set_lsb(coeffs[:used], bit_blocks)
-    rendered = engine._render_blocks(coeffs)
+    rendered = engine._to_pixels(inverse_dct(coeffs))
     residual = 0
     if mode == "spatial8":
         for i in range(used):

@@ -346,6 +346,20 @@ def test_maxval_without_whitespace_after_it_exit_3(capsys, tmp_path, cover_path)
     assert not (tmp_path / "o").exists()
 
 
+def test_magic_without_whitespace_after_it_exit_3_and_4(capsys, tmp_path, cover_path):
+    bad = tmp_path / "bad.pgm"
+    bad.write_bytes(b"P58 8\n255\n" + bytes(64))
+    for want, argv in (
+        (3, ("embed", "--cover", bad, "--secret", cover_path, "--out", tmp_path / "o")),
+        (4, ("extract", "--in", bad, "--out", tmp_path / "o")),
+        (4, ("inspect", "--in", bad)),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == want and out == ""
+        assert err.startswith(f"error: {bad}: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_cover_too_wide_for_a_container_exit_3(capsys, tmp_path):
     wide = tmp_path / "wide.pgm"
     rng = np.random.default_rng(14)

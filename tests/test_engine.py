@@ -335,16 +335,17 @@ def test_candidate_render_equals_full_render_on_dc_ties():
     # DC-only blocks nudged by +-2 onto DC = 4 (mod 8): every sample of the
     # candidate lands on a .5 tie, where the incremental sum and the full
     # inverse DCT can round apart unless the tie guard re-renders them.
-    rows = np.array([[2], [-2]], dtype=np.int64)
-    offenders = np.array([0])
+    slots = np.arange(7)  # slot 0 is the DC
+    rows = engine._ROWS[:2]  # the pool's first two candidates: DC +2 and DC -2
+    assert rows.tolist() == [[2, 0, 0, 0, 0, 0, 0], [-2, 0, 0, 0, 0, 0, 0]]
     differing = 0
     for dc in range(4, 2040, 8):
         for start in (dc - 2, dc + 2):
             cur = np.zeros((8, 8), dtype=np.int64)
             cur[0, 0] = start
-            pool = engine._pool_factor(offenders, inverse_dct(cur))
-            fast = engine._candidate_pixels(cur, pool, offenders, rows, engine._Workspace(), 0)
-            full = engine._render_blocks(engine._nudged(cur, offenders, rows))
+            pool = engine._pool_factor(slots, inverse_dct(cur))
+            fast, _ = engine._candidate_pixels(cur, pool, slots, 0, 2, engine._Workspace())
+            full = engine._to_pixels(inverse_dct(engine._nudged(cur, slots, rows)))
             differing += not np.array_equal(fast, full)
     assert differing == 0
 
@@ -357,27 +358,30 @@ def _tiers(rows):
 
 
 def test_sign_pattern_tiers_partition_the_pool_by_nonzero_count():
-    for n in range(1, 8):
-        rows, _ = engine._sign_patterns(n)
-        tiers = _tiers(rows)
-        assert tiers[0][0] == 0 and tiers[-1][1] == len(rows) <= 2048
-        for (_, stop), (start, _) in zip(tiers, tiers[1:]):
-            assert stop == start
-        nonzero = [set((rows[a:b] != 0).sum(axis=1).tolist()) for a, b in tiers]
-        assert all(len(counts) == 1 for counts in nonzero)
-        assert [c.pop() for c in nonzero] == list(range(1, len(tiers) + 1))
+    rows = engine._ROWS
+    assert rows.shape == (2048, 7)
+    assert len({row.tobytes() for row in rows}) == len(rows)
+    assert set(np.unique(rows).tolist()) == {-2.0, 0.0, 2.0} and (rows != 0).any(axis=1).all()
+    tiers = _tiers(rows)
+    assert tiers[0][0] == 0 and tiers[-1][1] == len(rows)
+    for (_, stop), (start, _) in zip(tiers, tiers[1:]):
+        assert stop == start
+    nonzero = [set((rows[a:b] != 0).sum(axis=1).tolist()) for a, b in tiers]
+    assert all(len(counts) == 1 for counts in nonzero)
+    assert [c.pop() for c in nonzero] == list(range(1, len(tiers) + 1))
+    # every pattern of up to 5 nonzero slots, then as many 6-slot ones as fit
+    assert [b - a for a, b in tiers] == [14, 84, 280, 560, 672, 438]
 
 
 def test_passes_group_whole_tiers_in_pool_order():
-    for n in range(1, 8):
-        rows, passes = engine._sign_patterns(n)
-        tiers = _tiers(rows)
-        bounds = {start for start, _ in tiers} | {len(rows)}
-        assert passes[0][0] == 0 and passes[-1][1] == len(rows)
-        for (_, stop), (start, _) in zip(passes, passes[1:]):
-            assert stop == start
-        assert all(start in bounds and stop in bounds for start, stop in passes)
-        assert all(stop - start >= engine._MIN_PASS for start, stop in passes[:-1])
+    rows, passes = engine._ROWS, engine._PASSES
+    tiers = _tiers(rows)
+    bounds = {start for start, _ in tiers} | {len(rows)}
+    assert passes[0][0] == 0 and passes[-1][1] == len(rows)
+    for (_, stop), (start, _) in zip(passes, passes[1:]):
+        assert stop == start
+    assert all(start in bounds and stop in bounds for start, stop in passes)
+    assert all(stop - start >= engine._MIN_PASS for start, stop in passes[:-1])
 
 
 def _noise_cases(seed, count):
@@ -392,13 +396,11 @@ def test_verify_adjust_in_a_workspace_allocates_no_pool_sized_arrays(monkeypatch
     # One 2048-row float64 temporary alone is 1 MB; a whole pool without a
     # workspace peaks at 2.5-3.7 MB of traced allocation.
     rounds = []
-    patterns = engine._sign_patterns
-    monkeypatch.setattr(engine, "_sign_patterns", lambda n: rounds.append(n) or patterns(n))
-    for n in range(1, 8):
-        patterns(n)  # the pattern cache is filled once per process
+    factor = engine._pool_factor
+    monkeypatch.setattr(engine, "_pool_factor", lambda *a: rounds.append(1) or factor(*a))
     ws = engine._Workspace()
     peaks = []
-    for coeffs, bits in _noise_cases(12, 12):
+    for coeffs, bits in _noise_cases(12, 24):  # 6 of them take more than one round
         rounds.clear()
         tracemalloc.start()
         try:
@@ -411,6 +413,30 @@ def test_verify_adjust_in_a_workspace_allocates_no_pool_sized_arrays(monkeypatch
             peaks.append(peak)
     assert len(peaks) >= 3
     assert max(peaks) < 512 * 1024
+
+
+def test_verify_adjust_never_re_anchors_on_a_whole_sample_shift(monkeypatch):
+    # Block 22 of a near-full 128^2 embed. Re-anchoring on candidates unseen
+    # by their coefficients alone, its search walked all 16 rounds through
+    # +2 on (0,0), (0,4), (4,0) and (4,4): each step adds 1 to a quarter of
+    # the samples and leaves every rounding error, so the one offender, as
+    # it was.
+    rng = np.random.default_rng(4028)
+    bits = build_frame(rng.bytes(capacity(128, 128) * 93 // 800)).bits.bits
+    bits = bits.reshape(-1, 8, 8)[22].astype(np.int64)
+    coeffs = quantize(forward_dct(partition(natural_cover(128, 128, 4028))))[22]
+    coeffs = set_lsb(coeffs, bits)
+    anchors = []
+    factor = engine._pool_factor
+    monkeypatch.setattr(engine, "_pool_factor", lambda *a: anchors.append(a[1]) or factor(*a))
+    pixels, residual = verify_adjust_block(coeffs, bits)
+    assert residual == 0 and len(anchors) >= 2
+    for i, later in enumerate(anchors):
+        for earlier in anchors[:i]:
+            shift = later - earlier
+            assert np.abs(shift - np.rint(shift)).max() > 1e-6
+    monkeypatch.undo()
+    assert _same_as_reference(coeffs, bits)
 
 
 def test_verify_adjust_results_outlive_the_workspace():
@@ -460,7 +486,7 @@ def test_spatial8_embed_equals_the_reference_search_on_a_near_full_cover():
     stego, report = embed(cover, frame, mode="spatial8")
     coeffs = quantize(forward_dct(partition(cover)))
     coeffs[: len(bit_blocks)] = set_lsb(coeffs[: len(bit_blocks)], bit_blocks)
-    rendered = engine._render_blocks(coeffs)
+    rendered = engine._to_pixels(inverse_dct(coeffs))
     residual = 0
     for i, bits in enumerate(bit_blocks):
         rendered[i], errors = reference_verify_adjust_block(coeffs[i], bits)
@@ -473,54 +499,43 @@ def test_candidate_render_equals_full_render_near_the_clamps():
     # Pools whose samples come within _REACH of 0 or 255 are clipped, the
     # others skip the clip; both must equal the full render.
     rng = np.random.default_rng(71)
-    rows, _ = engine._sign_patterns(7)
+    rows = engine._ROWS
     ws = engine._Workspace()
     for level in (0, 2, 5, 128, 250, 253, 255):
         for _ in range(3):
             block = np.clip(level + rng.integers(-4, 5, (8, 8)), 0, 255).astype(np.float64)
             cur = quantize(forward_dct(block))
-            offenders = np.sort(rng.choice(64, 7, replace=False))
-            pool = engine._pool_factor(offenders, inverse_dct(cur))
-            fast = engine._candidate_pixels(cur, pool, offenders, rows, ws, 0)
-            full = engine._render_blocks(engine._nudged(cur, offenders, rows))
+            slots = rng.choice(64, 7, replace=False)
+            pool = engine._pool_factor(slots, inverse_dct(cur))
+            fast, _ = engine._candidate_pixels(cur, pool, slots, 0, len(rows), ws)
+            full = engine._to_pixels(inverse_dct(engine._nudged(cur, slots, rows)))
             assert np.array_equal(fast, full), level
-            assert np.abs(rows @ engine._BASIS[offenders]).max() <= engine._REACH
+            assert np.abs(rows @ engine._BASIS[slots]).max() <= engine._REACH
 
 
-def _whole_pool_anchor(cur, offenders, rows, bits, seen, parities):
-    counts = (parities ^ bits).sum(axis=(1, 2))
-    wide_first = (np.flatnonzero(counts >= 7), np.argsort(-counts, kind="stable"))
-    for k in np.concatenate(wide_first):
-        if engine._nudged(cur, offenders, rows[k : k + 1]).tobytes() not in seen:
-            return k
-    return None
-
-
-@pytest.mark.parametrize(
-    "case", ["wide in the scan", "scan's wide ones seen", "none wide", "all seen"]
-)
-def test_anchor_scan_picks_what_counting_the_whole_pool_picks(case):
-    rng = np.random.default_rng(72)
-    rows, _ = engine._sign_patterns(7)
-    offenders = np.arange(7)
-    cur = np.zeros((8, 8), dtype=np.int64)
-    bits = rng.integers(0, 2, (8, 8)).astype(bool)
-    counts = rng.integers(0, 7, len(rows))
-    if case != "none wide":
-        counts[[5, 20, 900, 1500]] = [9, 7, 8, 12]
-    # candidate k's parity misses bits on its first counts[k] coefficients
-    parities = bits ^ (np.arange(64) < counts[:, None]).reshape(-1, 8, 8)
-    seen = {cur.tobytes()}
-    if case == "scan's wide ones seen":
-        seen |= {engine._nudged(cur, offenders, rows[k : k + 1]).tobytes() for k in (5, 20)}
-    if case == "all seen":
-        seen |= {c.tobytes() for c in engine._nudged(cur, offenders, rows)}
+def test_rounding_energy_is_the_coefficient_error_energy():
+    # Parseval: the DCT is orthonormal, so an unclipped candidate's pixel
+    # rounding energy equals the energy of its recovered coefficients' error.
+    rng = np.random.default_rng(73)
     ws = engine._Workspace()
-    ws.masks[: len(rows)] = parities
-    want = _whole_pool_anchor(cur, offenders, rows, bits, seen, parities)
-    assert engine._anchor(cur, offenders, rows, bits, seen, ws) == want
-    assert want == {"wide in the scan": 5, "scan's wide ones seen": 900,
-                    "none wide": np.argmax(counts), "all seen": None}[case]
+    for _ in range(4):
+        cur = quantize(forward_dct(rng.integers(96, 161, (8, 8)).astype(np.float64)))
+        slots = rng.choice(64, 7, replace=False)
+        pool = engine._pool_factor(slots, inverse_dct(cur))
+        pixels, energy = engine._candidate_pixels(cur, pool, slots, 0, 2048, ws)
+        assert pixels.min() > 0 and pixels.max() < 255
+        errors = forward_dct(pixels) - engine._nudged(cur, slots, engine._ROWS)
+        assert np.abs(energy - (errors**2).sum(axis=(1, 2))).max() < 1e-9
+        assert (energy < engine._ENERGY_CUT).any() and (energy >= engine._ENERGY_CUT).any()
+
+
+def test_verify_adjust_with_nothing_screened_returns_the_first_render(monkeypatch):
+    monkeypatch.setattr(engine, "_ENERGY_CUT", 0.0)
+    for coeffs, bits in _noise_cases(74, 8):
+        pixels, residual = verify_adjust_block(coeffs, bits)
+        first = engine._to_pixels(inverse_dct(coeffs))
+        assert np.array_equal(pixels, first)
+        assert residual == int((get_lsb(quantize(forward_dct(first))) != bits).sum()) > 0
 
 
 def test_spatial_embed_extract_round_trip():
@@ -533,6 +548,17 @@ def test_spatial_embed_extract_round_trip():
     assert recovered == secret
     assert header.symbol_count == 60
     assert report.psnr_db > 40.0
+
+
+def test_spatial8_on_full_range_noise_covers_has_no_residual_bits():
+    # Blocks of 0..255 noise clamp at both ends, so fewer candidates render
+    # as they would unclamped; the search must still find clean ones.
+    secret = b"hidden in the LSBs of 8x8 block-DCT coefficients"
+    for seed in range(1, 11):
+        cover = Image8(np.random.default_rng(seed).integers(0, 256, (64, 64), dtype=np.uint8))
+        stego, report = embed(cover, build_frame(secret), mode="spatial8")
+        assert report.residual_bit_errors == 0, seed
+        assert extract(stego)[0] == secret, seed
 
 
 def test_extract_rejects_plain_image():

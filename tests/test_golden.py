@@ -57,7 +57,7 @@ def test_spatial8_pgm_digest():
     )
     assert report.residual_bit_errors == 0
     assert sha256(write_pgm(stego)) == (
-        "6ca8767903a0a4499f908d8d724c79853c61162e81b1fa9bc0a42c677962362f"
+        "0adae0763b772f53e4a24045458738bf7b716e2ad8e6583f21222bf50af42ca8"
     )
 
 

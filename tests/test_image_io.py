@@ -88,6 +88,9 @@ def test_bad_header_fields():
         read_pgm(b"P5\n1 -1\n255\n")
     with pytest.raises(BadHeader):
         read_pgm(b"P5\n1 1")  # header ends early
+    with pytest.raises(BadHeader, match="field 1 missing or not separated"):
+        read_pgm(b"P58 8\n255\n" + bytes(64))  # no whitespace after the magic
+    assert read_pgm(b"P5#c\n8 8\n255\n" + bytes(64)).width == 8  # a comment separates
     for header in (b"P5\n+8 8\n255\n", b"P5\n8 8\n2_55\n", b"P5\n0_8 8\n255\n"):
         with pytest.raises(BadHeader, match="non-numeric header field"):
             read_pgm(header + bytes(64))  # int() would read these fields
