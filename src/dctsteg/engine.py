@@ -145,16 +145,18 @@ class _Workspace:
 
     One per spatial8 embed: a fresh 1 MB temporary per pool is handed back
     to the OS and faulted in again, which cost more than the arithmetic.
-    Rows [start, stop) of each buffer belong to the pool's candidates
-    start..stop-1; views into them are overwritten by the next pool.
+    Rows [start, stop) of pixels and work[0] belong to the pool's candidates
+    start..stop-1; work[1], masks and screened (pool indices) hold the
+    round's verified candidates, packed. The next pool overwrites them all.
     """
 
-    __slots__ = ("pixels", "work", "masks")
+    __slots__ = ("pixels", "work", "masks", "screened")
 
     def __init__(self):
         self.pixels = np.empty((_POOL_CAP, BLOCK * BLOCK))
         self.work = np.empty((2, _POOL_CAP, BLOCK, BLOCK))
         self.masks = np.empty((_POOL_CAP, BLOCK, BLOCK), dtype=bool)
+        self.screened = np.empty(_POOL_CAP, dtype=np.intp)
 
 
 def _pool_factor(slots, samples):
@@ -214,10 +216,11 @@ _MAX_ROUNDS = 16
 # rows move at most _POOL_COEFFS coefficients, by 2 each
 _REACH = 2.0 * np.sort(np.abs(_BASIS), axis=0)[-_POOL_COEFFS:].sum(axis=0).max()
 # The DCT is orthonormal, so a candidate's coefficient error has the energy of
-# its rounding error (Parseval); a clean one needs all 64 under 0.5. The cut is
-# the mean energy of 64 uniform rounding errors.
-_ENERGY_CUT = BLOCK * BLOCK / 12
-_MIN_PASS = 128  # candidates verified in one pass at least
+# its rounding error (Parseval); a clean one needs all 64 under 0.5. A uniform
+# error u has E[u^2] = 1/12 and Var[u^2] = 1/80 - 1/144 = 1/180: the cut is
+# the mean energy of 64 of them less one standard deviation.
+_ENERGY_CUT = BLOCK * BLOCK / 12 - np.sqrt(BLOCK * BLOCK / 180)
+_MIN_PASS = 128  # pool rows rendered in one pass at least
 _RECORD = np.dtype((np.void, BLOCK * BLOCK))  # one block's 64 bools, compared at once
 _CHUNK_BLOCKS = 2048  # blocks per chunk of the whole-cover passes, 1 MB per float buffer
 
@@ -309,31 +312,30 @@ def verify_adjust_block(coeffs, bits, ws=None):
         spare = np.argsort(-distance, kind="stable")[: _POOL_COEFFS - len(offenders)]
         slots = np.concatenate((offenders, spare))
         pool = _pool_factor(slots, samples)
-        screened, verified = [], []  # pool indices, and the ws.masks rows of their parities
+        n = 0  # candidates verified so far this round, packed in ws rows 0..n-1
         for start, stop in _PASSES:
             pixels, energy = _candidate_pixels(cur, pool, slots, start, stop, ws)
             keep = np.flatnonzero(energy < _ENERGY_CUT)
-            rows = slice(start, start + len(keep))
+            rows = slice(n, n + len(keep))
             np.take(pixels, keep, axis=0, out=ws.work[1, rows])
             parity = blockdct.lsb_parity(ws.work[1, rows], ws.work[:, rows], ws.masks[rows])
             # clean where a candidate's 64 parities, as one record, are bits
             hits = np.flatnonzero(parity.reshape(-1, BLOCK * BLOCK).view(_RECORD) == bit_record)
             if hits.size:
                 return pixels[keep[hits[0]]].astype(np.uint8), 0
-            screened.append(start + keep)
-            verified.append(np.arange(rows.start, rows.stop))
-        screened, verified = np.concatenate(screened), np.concatenate(verified)
-        counts = np.count_nonzero((ws.masks[verified] ^ bits).reshape(-1, BLOCK * BLOCK), axis=1)
+            np.add(keep, start, out=ws.screened[rows])
+            n = rows.stop
+        counts = np.count_nonzero((ws.masks[:n] ^ bits).reshape(-1, BLOCK * BLOCK), axis=1)
         for j in np.argsort(counts, kind="stable"):  # the fewest offenders, unseen
-            nudged = _nudged(cur, slots, _ROWS[screened[j], None])[0]
+            nudged = _nudged(cur, slots, _ROWS[ws.screened[j], None])[0]
             samples = blockdct.inverse_dct(nudged)
             if _rounding_key(samples) not in seen:
                 break
         else:
             break  # no unseen screened candidate
-        cur, mask = nudged, ws.masks[verified[j]] ^ bits
+        cur, mask = nudged, ws.masks[j] ^ bits
         seen.add(_rounding_key(samples))
-        pix = ws.pixels[screened[j]].reshape(BLOCK, BLOCK).copy()
+        pix = ws.pixels[ws.screened[j]].reshape(BLOCK, BLOCK).copy()
     return best_pixels.astype(np.uint8), best_residual
 
 

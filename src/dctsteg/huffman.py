@@ -93,22 +93,20 @@ def build_table(data):
     freqs = np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256)
     lengths = np.zeros(256, dtype=np.int64)
     present = np.flatnonzero(freqs)
-    if present.size == 1:
-        lengths[present[0]] = 1
-        return HuffmanTable(lengths)
-    # heap entries: (weight, leaf-before-internal, symbol or creation order, depth map)
-    heap = [(int(freqs[s]), 0, int(s), {int(s): 0}) for s in present]
+    # heap entries: (weight, leaf-before-internal, symbol or creation order, node)
+    m = present.size
+    heap = [(int(freqs[s]), 0, int(s), i) for i, s in enumerate(present)]
     heapq.heapify(heap)
-    counter = 0
-    while len(heap) > 1:
-        w1, _, _, d1 = heapq.heappop(heap)
-        w2, _, _, d2 = heapq.heappop(heap)
-        merged = {s: d + 1 for s, d in d1.items()}
-        merged.update({s: d + 1 for s, d in d2.items()})
-        heapq.heappush(heap, (w1 + w2, 1, counter, merged))
-        counter += 1
-    for symbol, depth in heap[0][3].items():
-        lengths[symbol] = depth
+    parent = [0] * (2 * m - 1)
+    for node in range(m, 2 * m - 1):
+        w1, _, _, a = heapq.heappop(heap)
+        w2, _, _, b = heapq.heappop(heap)
+        parent[a] = parent[b] = node
+        heapq.heappush(heap, (w1 + w2, 1, node - m, node))
+    depth = [0] * (2 * m - 1)
+    for node in range(2 * m - 3, -1, -1):  # a parent comes after its children
+        depth[node] = depth[parent[node]] + 1
+    lengths[present] = np.maximum(depth[:m], 1)  # a lone symbol's tree is its root
     return HuffmanTable(lengths)
 
 

@@ -5,6 +5,7 @@ summations, not the separable matrix form the library uses, so agreement is
 meaningful.
 """
 
+import heapq
 import itertools
 import math
 
@@ -92,6 +93,35 @@ def min_prefix_cost(freqs):
             cost = sum(f * l for f, l in zip(freqs, lengths))
             best = min(best, cost)
     return best
+
+
+def reference_code_lengths(data):
+    """Huffman code lengths of data's byte frequencies, merging whole depth maps.
+
+    The oracle for build_table: every node carries a symbol -> depth map,
+    and a merge copies both children's maps one level deeper. Heap keys
+    are (weight, leaf before internal, symbol or creation order), so ties
+    break the same way and the lengths must be identical.
+    """
+    freqs = np.bincount(np.frombuffer(bytes(data), dtype=np.uint8), minlength=256)
+    lengths = np.zeros(256, dtype=np.int64)
+    present = np.flatnonzero(freqs)
+    if present.size == 1:
+        lengths[present[0]] = 1
+        return lengths
+    heap = [(int(freqs[s]), 0, int(s), {int(s): 0}) for s in present]
+    heapq.heapify(heap)
+    counter = 0
+    while len(heap) > 1:
+        w1, _, _, d1 = heapq.heappop(heap)
+        w2, _, _, d2 = heapq.heappop(heap)
+        merged = {s: d + 1 for s, d in d1.items()}
+        merged.update({s: d + 1 for s, d in d2.items()})
+        heapq.heappush(heap, (w1 + w2, 1, counter, merged))
+        counter += 1
+    for symbol, depth in heap[0][3].items():
+        lengths[symbol] = depth
+    return lengths
 
 
 def reference_canonical_codes(lengths):
@@ -224,15 +254,17 @@ def reference_verify_adjust_block(coeffs, bits):
     coefficient lies furthest from cur. It renders the whole capped pool of
     +-2 nudges through the full inverse DCT, takes each candidate's rounding
     energy from those samples before the clip, and verifies in one batch.
-    Of the candidates with energy below 64/12 it commits the first clean
-    one in pool order, else re-anchors on the unseen one with the fewest
-    offenders. A state counts as seen when its samples differ from an
-    anchor's by whole numbers. The library's incremental, screened, tiered
-    search must return the same (pixels, residual).
+    Of the candidates with energy below 64/12 - sqrt(64/180), one standard
+    deviation under the mean energy of 64 uniform rounding errors, it
+    commits the first clean one in pool order, else re-anchors on the
+    unseen one with the fewest offenders. A state counts as seen when its
+    samples differ from an anchor's by whole numbers. The library's
+    incremental, screened, tiered search must return the same (pixels,
+    residual).
     """
     from dctsteg.blockdct import forward_dct, inverse_dct, round_half_away
 
-    pool_coeffs, max_rounds, cut = 7, 16, 64 / 12
+    pool_coeffs, max_rounds, cut = 7, 16, 64 / 12 - math.sqrt(64 / 180)
     rows = _reference_patterns(pool_coeffs)
     cur = np.asarray(coeffs, dtype=np.int64).reshape(8, 8).copy()
     bits = np.asarray(bits, dtype=np.int64).reshape(8, 8)

@@ -1,5 +1,6 @@
 """Embedding engine tests: LSB plumbing, both artifact modes, verify/adjust."""
 
+import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -29,7 +30,7 @@ from dctsteg.errors import (
     PayloadTooLarge,
     Truncated,
 )
-from dctsteg import engine
+from dctsteg import blockdct, engine
 from support import natural_cover, reference_embed, reference_verify_adjust_block
 
 
@@ -527,6 +528,67 @@ def test_rounding_energy_is_the_coefficient_error_energy():
         errors = forward_dct(pixels) - engine._nudged(cur, slots, engine._ROWS)
         assert np.abs(energy - (errors**2).sum(axis=(1, 2))).max() < 1e-9
         assert (energy < engine._ENERGY_CUT).any() and (energy >= engine._ENERGY_CUT).any()
+
+
+def test_energy_cut_is_one_standard_deviation_below_the_mean_rounding_energy():
+    # One uniform rounding error u in (-1/2, 1/2) has E[u^2] = 1/12 and
+    # Var[u^2] = 1/80 - 1/144 = 1/180, so 64 of them have energy mean 16/3
+    # and standard deviation sqrt(64/180) = 0.596.
+    assert engine._ENERGY_CUT == pytest.approx(64 / 12 - math.sqrt(64 / 180), abs=1e-12)
+    assert engine._ENERGY_CUT == pytest.approx(4.737, abs=5e-4)
+    energy = (np.random.default_rng(75).uniform(-0.5, 0.5, (50_000, 64)) ** 2).sum(axis=1)
+    # 50,000 draws: the standard error is 0.0027 for the mean, about 0.002 for the sd
+    assert energy.mean() == pytest.approx(64 / 12, abs=0.01)
+    assert energy.std() == pytest.approx(math.sqrt(64 / 180), abs=0.01)
+
+
+def test_each_pass_verifies_exactly_the_candidates_below_the_cut(monkeypatch):
+    renders, verified = [], []
+    candidate_pixels, lsb_parity = engine._candidate_pixels, blockdct.lsb_parity
+
+    def recording_render(*args):
+        pixels, energy = candidate_pixels(*args)
+        renders.append((pixels.copy(), energy.copy()))
+        return pixels, energy
+
+    def recording_parity(blocks, *args):
+        verified.append(np.array(blocks, copy=True))  # the call overwrites pooled rows
+        return lsb_parity(blocks, *args)
+
+    monkeypatch.setattr(engine, "_candidate_pixels", recording_render)
+    monkeypatch.setattr(blockdct, "lsb_parity", recording_parity)
+    passes = screened = candidates = 0
+    for coeffs, bits in _noise_cases(76, 16):
+        renders.clear()
+        verified.clear()
+        _, residual = verify_adjust_block(coeffs, bits)
+        assert residual == 0
+        # one 1-block call for the first render, then one call per pass
+        assert len(verified) == 1 + len(renders) and verified[0].shape == (1, 8, 8)
+        for (pixels, energy), blocks in zip(renders, verified[1:]):
+            assert np.array_equal(blocks, pixels[energy < engine._ENERGY_CUT])
+            screened += len(blocks)
+            candidates += len(pixels)
+        passes += len(renders)
+    assert passes > 16 and 0.05 < screened / candidates < 0.3
+
+
+def test_near_full_natural_embed_verifies_under_450_candidates_per_block(monkeypatch):
+    # The machine-independent counter of the spatial8 search: rows handed to
+    # lsb_parity and rounds (pools) per payload block, with no residual bit.
+    rows, rounds = [], []
+    lsb_parity, pool_factor = blockdct.lsb_parity, engine._pool_factor
+    monkeypatch.setattr(
+        blockdct, "lsb_parity", lambda b, *a: rows.append(len(b)) or lsb_parity(b, *a)
+    )
+    monkeypatch.setattr(engine, "_pool_factor", lambda *a: rounds.append(1) or pool_factor(*a))
+    rng = np.random.default_rng(4000)
+    frame = build_frame(rng.bytes(capacity(128, 128) * 93 // 800))
+    _, report = embed(Image8(natural_cover(128, 128, 4000)), frame, mode="spatial8")
+    blocks = report.blocks_used
+    assert blocks >= 230 and report.residual_bit_errors == 0
+    assert sum(rows) / blocks < 450  # 1,024 with the cut at the mean energy 64/12
+    assert len(rounds) / blocks <= 1.6
 
 
 def test_verify_adjust_with_nothing_screened_returns_the_first_render(monkeypatch):

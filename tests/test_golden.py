@@ -57,7 +57,7 @@ def test_spatial8_pgm_digest():
     )
     assert report.residual_bit_errors == 0
     assert sha256(write_pgm(stego)) == (
-        "0adae0763b772f53e4a24045458738bf7b716e2ad8e6583f21222bf50af42ca8"
+        "4680413c13786d03b442b0459b451d0e325eebbc2525600d7e9b83c2f47c3296"
     )
 
 

@@ -22,7 +22,12 @@ from dctsteg.errors import (
     TruncatedStream,
     WrongLength,
 )
-from support import min_prefix_cost, reference_canonical_codes, reference_decode
+from support import (
+    min_prefix_cost,
+    reference_canonical_codes,
+    reference_code_lengths,
+    reference_decode,
+)
 
 
 def lengths_of(table):
@@ -179,6 +184,32 @@ def test_round_trip_any_bytes(data):
     bits = encode(data, table)
     assert decode(bits, table, len(data)) == data
     assert parse_table(serialize_table(table)) == table
+
+
+@given(
+    st.one_of(
+        st.binary(min_size=1, max_size=2000),
+        st.lists(st.sampled_from(b"q"), min_size=1).map(bytes),  # one symbol
+        st.lists(st.sampled_from(b"\x00\xff"), min_size=1, max_size=300).map(bytes),
+        st.lists(st.integers(0, 255), min_size=1, max_size=64).map(lambda s: bytes(s) * 3),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_code_lengths_equal_the_depth_map_builder(data):
+    assert build_table(data).code_lengths.tolist() == reference_code_lengths(data).tolist()
+
+
+def test_code_lengths_equal_the_depth_map_builder_on_large_secrets():
+    rng = np.random.default_rng(17)
+    secrets = [
+        rng.bytes(30_000),
+        b"hidden in the LSBs of 8x8 block-DCT coefficients " * 400,
+        rng.geometric(0.05, 30_000).clip(0, 255).astype(np.uint8).tobytes(),
+        bytes(range(256)) * 4,  # all weights tie
+        bytes([0, 1]),
+    ]
+    for data in secrets:
+        assert build_table(data).code_lengths.tolist() == reference_code_lengths(data).tolist()
 
 
 def test_uniform_data_is_incompressible():
