@@ -37,12 +37,6 @@ def _operand(blocks):
     return arr, np.empty((2, *arr.shape))
 
 
-def round_half_away(values):
-    """Round to nearest integer, halves away from zero (2.5 -> 3, -2.5 -> -3)."""
-    values = np.asarray(values, dtype=np.float64)
-    return np.trunc(values + np.copysign(0.5, values))
-
-
 def check_aligned(width, height):
     """Raise NotBlockAligned unless both dimensions are whole numbers of blocks."""
     if width % BLOCK or height % BLOCK:
@@ -90,8 +84,9 @@ def inverse_dct(coeffs, out=None):
 
 
 def quantize(coeffs):
-    """Round real coefficients half-away-from-zero to integers."""
-    return round_half_away(coeffs).astype(np.int64)
+    """Round real coefficients to int64, halves away from zero (2.5 -> 3, -2.5 -> -3)."""
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    return np.trunc(coeffs + np.copysign(0.5, coeffs)).astype(np.int64)
 
 
 def lsb_parity(blocks, work=None, out=None):

@@ -229,11 +229,25 @@ def shannon_entropy(data):
     return float(-(p * np.log2(p)).sum())
 
 
+def _reference_round(samples):
+    """The nearest integer of each sample; a sample within 1e-10 below a .5 tie goes up.
+
+    Exact ties compute to within 1e-12 of .5, on either side, so every one
+    of them rounds up.
+    """
+    whole = np.floor(samples)
+    return whole + (samples - whole >= 0.5 - 1e-10)
+
+
+def reference_pixels(samples):
+    """The pixel rule written out: _reference_round, then clip to 0..255."""
+    return np.clip(_reference_round(samples), 0.0, 255.0)
+
 
 def _reference_mismatch(cands, bits):
-    from dctsteg.blockdct import forward_dct, inverse_dct, quantize, round_half_away
+    from dctsteg.blockdct import forward_dct, inverse_dct, quantize
 
-    pixels = np.clip(round_half_away(inverse_dct(cands)), 0.0, 255.0)
+    pixels = reference_pixels(inverse_dct(cands))
     recovered = quantize(forward_dct(pixels))
     return (recovered & 1) != bits[None, :, :], pixels
 
@@ -262,7 +276,7 @@ def reference_verify_adjust_block(coeffs, bits):
     incremental, screened, tiered search must return the same (pixels,
     residual).
     """
-    from dctsteg.blockdct import forward_dct, inverse_dct, round_half_away
+    from dctsteg.blockdct import forward_dct, inverse_dct
 
     pool_coeffs, max_rounds, cut = 7, 16, 64 / 12 - math.sqrt(64 / 180)
     rows = _reference_patterns(pool_coeffs)
@@ -288,7 +302,7 @@ def reference_verify_adjust_block(coeffs, bits):
         pool[:, slots] = rows
         cands = (cur.reshape(-1)[None, :] + pool).reshape(-1, 8, 8)
         samples = inverse_dct(cands)
-        energy = ((samples - round_half_away(samples)) ** 2).sum(axis=(1, 2))
+        energy = ((samples - _reference_round(samples)) ** 2).sum(axis=(1, 2))
         masks, pixels = _reference_mismatch(cands, bits)
         screened = np.flatnonzero(energy < cut)
         counts = masks[screened].sum(axis=(1, 2))
@@ -325,7 +339,7 @@ def reference_embed(cover, frame, mode="container"):
     bit_blocks = frame.bits.bits.reshape(-1, 8, 8).astype(np.int64)
     used = len(bit_blocks)
     coeffs[:used] = engine.set_lsb(coeffs[:used], bit_blocks)
-    rendered = engine._to_pixels(inverse_dct(coeffs))
+    rendered = reference_pixels(inverse_dct(coeffs))
     residual = 0
     if mode == "spatial8":
         for i in range(used):

@@ -31,7 +31,12 @@ from dctsteg.errors import (
     Truncated,
 )
 from dctsteg import blockdct, engine
-from support import natural_cover, reference_embed, reference_verify_adjust_block
+from support import (
+    natural_cover,
+    reference_embed,
+    reference_pixels,
+    reference_verify_adjust_block,
+)
 
 
 def test_lsb_examples():
@@ -318,15 +323,26 @@ def test_verify_adjust_matches_full_render_reference():
         cases.append(quantize(forward_dct(rng.integers(96, 161, (8, 8)).astype(np.float64))))
     cases += [_flat_coeffs(128)] * 40  # mid-gray constant blocks
     cases += [_flat_coeffs(0)] * 4 + [_flat_coeffs(255)] * 4  # clamped: 16 rounds each
+    kept = {}  # case index: the coefficients whose LSBs stay 0, on their ties
     for _ in range(40):  # flat blocks on DC = 4 (mod 8): every sample a .5 tie
         flat = np.zeros((8, 8), dtype=np.int64)
         flat[0, 0] = 8 * int(rng.integers(1, 255)) + 4
+        kept[len(cases)] = (0, 0)
         cases.append(flat)
+    # DC = 2 (mod 8) and 2 on a +-1/8 basis image: half the samples tie. Any
+    # odd coefficient would move them off, so all 64 LSBs stay 0; the first
+    # render is then clean, and its pixels differ by the tie direction.
+    tie_rng = np.random.default_rng(22)
+    for slot in [(0, 4), (4, 0), (4, 4)] * 8:
+        block = np.zeros((8, 8), dtype=np.int64)
+        block[0, 0], block[slot] = 8 * int(tie_rng.integers(1, 255)) + 2, 2
+        kept[len(cases)] = slice(None)
+        cases.append(block)
     mismatched = []
     for index, coeffs in enumerate(cases):
         bits = rng.integers(0, 2, (8, 8)).astype(np.int64)
-        if index >= len(cases) - 40:
-            bits[0, 0] = 0  # keep the DC on its tie
+        if index in kept:
+            bits[kept[index]] = 0
         if not _same_as_reference(set_lsb(coeffs, bits), bits):
             mismatched.append(index)
     assert mismatched == []
@@ -335,7 +351,7 @@ def test_verify_adjust_matches_full_render_reference():
 def test_candidate_render_equals_full_render_on_dc_ties():
     # DC-only blocks nudged by +-2 onto DC = 4 (mod 8): every sample of the
     # candidate lands on a .5 tie, where the incremental sum and the full
-    # inverse DCT can round apart unless the tie guard re-renders them.
+    # inverse DCT must round the same way.
     slots = np.arange(7)  # slot 0 is the DC
     rows = engine._ROWS[:2]  # the pool's first two candidates: DC +2 and DC -2
     assert rows.tolist() == [[2, 0, 0, 0, 0, 0, 0], [-2, 0, 0, 0, 0, 0, 0]]
@@ -345,10 +361,60 @@ def test_candidate_render_equals_full_render_on_dc_ties():
             cur = np.zeros((8, 8), dtype=np.int64)
             cur[0, 0] = start
             pool = engine._pool_factor(slots, inverse_dct(cur))
-            fast, _ = engine._candidate_pixels(cur, pool, slots, 0, 2, engine._Workspace())
+            fast, _ = engine._candidate_pixels(pool, 0, 2, engine._Workspace())
             full = engine._to_pixels(inverse_dct(engine._nudged(cur, slots, rows)))
             differing += not np.array_equal(fast, full)
     assert differing == 0
+
+
+def _tie_blocks():
+    """Blocks whose every sample is an exact .5 tie, in [0.5, 254.5].
+
+    The basis images of (0,0), (0,4), (4,0) and (4,4) are +-1/8 everywhere.
+    """
+    blocks = []
+    for k in range(255):
+        block = np.zeros((8, 8), dtype=np.int64)
+        block[0, 0] = 8 * k + 4  # samples k + 1/2
+        blocks.append(block)
+    for slot in ((0, 4), (4, 0), (4, 4)):
+        for k in range(1, 255):
+            block = np.zeros((8, 8), dtype=np.int64)
+            block[0, 0], block[slot] = 8 * k, 4 if k % 2 else -4  # samples k +- 1/2
+            blocks.append(block)
+    return np.array(blocks)
+
+
+@pytest.mark.parametrize("association", ["library", "other"])
+def test_exact_render_ties_round_up(monkeypatch, association):
+    # An exact tie computes to within 1e-12 of .5 on either side, whichever
+    # order the products run in; the pixel is its ceiling either way.
+    if association == "other":
+        M, MT = blockdct._M, blockdct._MT
+        monkeypatch.setattr(
+            blockdct, "inverse_dct", lambda c, out=None: MT @ (np.asarray(c, float) @ M)
+        )
+    blocks = _tie_blocks()
+    samples = blockdct.inverse_dct(blocks)
+    exact = np.rint(2 * samples) / 2
+    assert np.all(exact % 1 == 0.5) and np.abs(samples - exact).max() < 1e-12
+    assert np.array_equal(engine._to_pixels(samples), exact + 0.5)
+    # the candidate render: cur is 2 below or above the tie block on the DC,
+    # and the pool's first pass nudges the four tie slots, alone and in
+    # pairs (half-tie blocks), and three others
+    slots = np.array([0, 4, 32, 36, 1, 8, 9])
+    rows = engine._ROWS[: engine._PASSES[0][1]]
+    assert rows[:2].tolist() == [[2, 0, 0, 0, 0, 0, 0], [-2, 0, 0, 0, 0, 0, 0]]
+    ws = engine._Workspace()
+    for block, ceiling in zip(blocks, exact + 0.5):
+        for row, shift in enumerate((-2, 2)):  # row 0 or 1 nudges cur back onto block
+            cur = block.copy()
+            cur[0, 0] += shift
+            pool = engine._pool_factor(slots, blockdct.inverse_dct(cur))
+            fast, _ = engine._candidate_pixels(pool, 0, len(rows), ws)
+            full = engine._to_pixels(blockdct.inverse_dct(engine._nudged(cur, slots, rows)))
+            assert np.array_equal(fast, full)
+            assert np.array_equal(fast[row], ceiling)
 
 
 def _tiers(rows):
@@ -487,7 +553,7 @@ def test_spatial8_embed_equals_the_reference_search_on_a_near_full_cover():
     stego, report = embed(cover, frame, mode="spatial8")
     coeffs = quantize(forward_dct(partition(cover)))
     coeffs[: len(bit_blocks)] = set_lsb(coeffs[: len(bit_blocks)], bit_blocks)
-    rendered = engine._to_pixels(inverse_dct(coeffs))
+    rendered = reference_pixels(inverse_dct(coeffs))
     residual = 0
     for i, bits in enumerate(bit_blocks):
         rendered[i], errors = reference_verify_adjust_block(coeffs[i], bits)
@@ -508,7 +574,7 @@ def test_candidate_render_equals_full_render_near_the_clamps():
             cur = quantize(forward_dct(block))
             slots = rng.choice(64, 7, replace=False)
             pool = engine._pool_factor(slots, inverse_dct(cur))
-            fast, _ = engine._candidate_pixels(cur, pool, slots, 0, len(rows), ws)
+            fast, _ = engine._candidate_pixels(pool, 0, len(rows), ws)
             full = engine._to_pixels(inverse_dct(engine._nudged(cur, slots, rows)))
             assert np.array_equal(fast, full), level
             assert np.abs(rows @ engine._BASIS[slots]).max() <= engine._REACH
@@ -523,7 +589,7 @@ def test_rounding_energy_is_the_coefficient_error_energy():
         cur = quantize(forward_dct(rng.integers(96, 161, (8, 8)).astype(np.float64)))
         slots = rng.choice(64, 7, replace=False)
         pool = engine._pool_factor(slots, inverse_dct(cur))
-        pixels, energy = engine._candidate_pixels(cur, pool, slots, 0, 2048, ws)
+        pixels, energy = engine._candidate_pixels(pool, 0, 2048, ws)
         assert pixels.min() > 0 and pixels.max() < 255
         errors = forward_dct(pixels) - engine._nudged(cur, slots, engine._ROWS)
         assert np.abs(energy - (errors**2).sum(axis=(1, 2))).max() < 1e-9
