@@ -165,39 +165,36 @@ class _Workspace:
 
 
 def _pool_factor(slots, samples):
-    """Right factor of a pool's lifted samples, and whether any can clamp.
+    """Right factor of a pool's lifted samples.
 
     Row 0 is cur's samples + 0.5 + _TIE and row 1 + j the basis image of
     slot j, so _LIFT's row @ factor is a candidate's samples + 0.5 + _TIE,
-    whose floor is _to_pixels' rounding. No candidate's sample lies further
-    than _REACH from cur's, so a pool clamps only near 0 or 255.
+    whose floor is _to_pixels' rounding.
     """
-    factor = np.concatenate((samples.reshape(1, -1) + (0.5 + _TIE), _BASIS[slots]))
-    return factor, bool(samples.min() < _REACH or samples.max() > 255.0 - _REACH)
+    return np.concatenate((samples.reshape(1, -1) + (0.5 + _TIE), _BASIS[slots]))
 
 
 def _candidate_pixels(pool, start, stop, ws):
-    """Pixels (k,8,8) of the pool's candidates start..stop-1, and rounding energies.
+    """Rounded samples (k,8,8) of the pool's candidates start..stop-1, and energies.
 
-    A candidate's energy is sum (v - round(v))^2 over its samples v before
-    the clip. The pixels are written to the same workspace rows. Samples
-    are cur's own samples plus the nudged basis images, one small product
-    instead of an inverse DCT per candidate. They differ from the full
-    render's by float noise of about 1e-13, so the pixels equal _to_pixels
-    of the full render unless a sample lies that close to .5 - _TIE; of the
-    samples that are not exact ties, none in 100 near-full natural embeds
-    came within 2e-9 below .5. pool is _pool_factor(slots, samples of cur),
-    built once per round for all its passes.
+    The samples are not clamped: the caller clips the rows it reads to
+    0..255, which makes them pixels. A candidate's energy is
+    sum (v - round(v))^2 over its samples v. The rounded samples are written
+    to the same workspace rows. Samples are cur's own samples plus the
+    nudged basis images, one small product instead of an inverse DCT per
+    candidate. They differ from the full render's by float noise of about
+    1e-13, so a clipped row equals _to_pixels of the full render unless a
+    sample lies that close to .5 - _TIE; of the samples that are not exact
+    ties, none in 100 near-full natural embeds came within 2e-9 below .5.
+    pool is _pool_factor(slots, samples of cur), built once per round for
+    all its passes.
     """
-    factor, clamps = pool
     lifted = ws.work[0, start:stop].reshape(-1, BLOCK * BLOCK)
     pixels = ws.pixels[start:stop]
-    np.matmul(_LIFT[start:stop], factor, out=lifted)  # each sample v as v + 0.5 + _TIE
+    np.matmul(_LIFT[start:stop], pool, out=lifted)  # each sample v as v + 0.5 + _TIE
     np.floor(lifted, out=pixels)
     lifted -= pixels
     lifted -= 0.5 + _TIE  # v - round(v)
-    if clamps:
-        np.clip(pixels, 0.0, 255.0, out=pixels)
     return pixels.reshape(-1, BLOCK, BLOCK), np.einsum("ij,ij->i", lifted, lifted)
 
 
@@ -211,9 +208,6 @@ def _nudged(cur, slots, rows):
 _POOL_COEFFS = 7  # slots nudged per round (3^7 - 1 = 2186 patterns)
 _POOL_CAP = 2048  # candidate perturbations evaluated per round
 _MAX_ROUNDS = 16
-# no candidate's sample lies further than _REACH from its anchor's: pattern
-# rows move at most _POOL_COEFFS coefficients, by 2 each
-_REACH = 2.0 * np.sort(np.abs(_BASIS), axis=0)[-_POOL_COEFFS:].sum(axis=0).max()
 # The DCT is orthonormal, so a candidate's coefficient error has the energy of
 # its rounding error (Parseval); a clean one needs all 64 under 0.5. A uniform
 # error u has E[u^2] = 1/12 and Var[u^2] = 1/80 - 1/144 = 1/180: the cut is
@@ -256,8 +250,8 @@ def _rounding_key(samples):
     """The fractional parts of a state's samples, in steps of _KEY_STEP.
 
     States whose samples differ by whole numbers, such as +2 on each of
-    (0,0), (0,4), (4,0) and (4,4), have the same rounding errors and, away
-    from the clamps, the same parities; they share this key.
+    (0,0), (0,4), (4,0) and (4,4), have the same rounding errors and, unless
+    one is clipped at 0 or 255, the same parities; they share this key.
     """
     return (np.rint(samples / _KEY_STEP).astype(np.int64) % round(1 / _KEY_STEP)).tobytes()
 
@@ -285,8 +279,8 @@ def verify_adjust_block(coeffs, bits, ws=None):
     term is the block sum / 8, so about one block in eight) recovers
     whichever way float noise in the forward path sends it, so verify reads
     parity through blockdct.lsb_parity, the forward path extract uses. The
-    screen only picks which candidates are verified, and every rendered
-    pixel equals the full render's.
+    screen only picks which candidates are verified. Only the rows read are
+    clamped to 0..255, and each then equals the full render's pixels.
     """
     if ws is None:
         ws = _Workspace()
@@ -316,12 +310,12 @@ def verify_adjust_block(coeffs, bits, ws=None):
             pixels, energy = _candidate_pixels(pool, start, stop, ws)
             keep = np.flatnonzero(energy < _ENERGY_CUT)
             rows = slice(n, n + len(keep))
-            np.take(pixels, keep, axis=0, out=ws.work[1, rows])
+            np.clip(pixels[keep], 0.0, 255.0, out=ws.work[1, rows])  # clamp what is read
             parity = blockdct.lsb_parity(ws.work[1, rows], ws.work[:, rows], ws.masks[rows])
             # clean where a candidate's 64 parities, as one record, are bits
             hits = np.flatnonzero(parity.reshape(-1, BLOCK * BLOCK).view(_RECORD) == bit_record)
             if hits.size:
-                return pixels[keep[hits[0]]].astype(np.uint8), 0
+                return np.clip(pixels[keep[hits[0]]], 0.0, 255.0).astype(np.uint8), 0
             np.add(keep, start, out=ws.screened[rows])
             n = rows.stop
         counts = np.count_nonzero((ws.masks[:n] ^ bits).reshape(-1, BLOCK * BLOCK), axis=1)
@@ -334,7 +328,7 @@ def verify_adjust_block(coeffs, bits, ws=None):
             break  # no unseen screened candidate
         cur, mask = nudged, ws.masks[j] ^ bits
         seen.add(_rounding_key(samples))
-        pix = ws.pixels[ws.screened[j]].reshape(BLOCK, BLOCK).copy()
+        pix = np.clip(ws.pixels[ws.screened[j]].reshape(BLOCK, BLOCK), 0.0, 255.0)
     return best_pixels.astype(np.uint8), best_residual
 
 

@@ -80,6 +80,8 @@ class PayloadHeader:
             raise BadHeader("corrupt frame header: zero symbol count")
         if kind == KIND_IMAGE and width * height != symbol_count:
             raise BadHeader("corrupt frame header: image dims disagree with symbol count")
+        if kind == KIND_BYTES and (width or height):
+            raise BadHeader(f"corrupt frame header: bytes secret with dims {width}x{height}")
         return cls(kind, width, height, symbol_count, payload_bits)
 
 

@@ -428,6 +428,28 @@ def test_inspect_corrupt_kind_exit_4(capsys, tmp_path, cover_path):
     assert "unknown secret kind 5" in err and "magic" not in err
 
 
+def test_bytes_secret_with_dims_exit_4(capsys, tmp_path, cover_path):
+    secret = tmp_path / "secret.bin"
+    secret.write_bytes(b"a bytes secret carries no dims")
+    stego = tmp_path / "stego.dsc"
+    run_cli(capsys, "embed", "--cover", cover_path, "--secret", secret, "--out", stego)
+    data = bytearray(stego.read_bytes())
+    # frame bits 32..63 (width and height, u16 each) are the LSBs of block
+    # 0's coefficients 32..63; set them to 5x7
+    dims = np.unpackbits(np.array([0, 5, 0, 7], dtype=np.uint8))  # u16 5, then u16 7
+    for i, bit in enumerate(dims):
+        data[8 + 2 * (32 + i) + 1] = (data[8 + 2 * (32 + i) + 1] & 0xFE) | int(bit)
+    stego.write_bytes(bytes(data))
+    recovered = tmp_path / "recovered.bin"
+    code, out, err = run_cli(capsys, "extract", "--in", stego, "--out", recovered)
+    assert code == 4 and out == ""
+    assert "corrupt frame header" in err and "5x7" in err
+    assert not recovered.exists()
+    code, out, err = run_cli(capsys, "inspect", "--in", stego)
+    assert code == 4 and out == ""
+    assert "corrupt frame header" in err
+
+
 def test_payload_flip_that_decodes_other_bytes_exit_4(capsys, tmp_path, cover_path):
     secret = b"abracadabra, " * 8
     table = build_table(secret)

@@ -324,14 +324,15 @@ def test_verify_adjust_matches_full_render_reference():
     cases += [_flat_coeffs(128)] * 40  # mid-gray constant blocks
     cases += [_flat_coeffs(0)] * 4 + [_flat_coeffs(255)] * 4  # clamped: 16 rounds each
     kept = {}  # case index: the coefficients whose LSBs stay 0, on their ties
-    for _ in range(40):  # flat blocks on DC = 4 (mod 8): every sample a .5 tie
+    # Flat blocks on DC = 4 (mod 8): every sample a .5 tie. Then DC = 2
+    # (mod 8) and 2 on a +-1/8 basis image: half the samples tie. Any odd
+    # coefficient would move them off, so all 64 LSBs stay 0; the first
+    # render is then clean, and its pixels differ by the tie direction.
+    for _ in range(40):
         flat = np.zeros((8, 8), dtype=np.int64)
         flat[0, 0] = 8 * int(rng.integers(1, 255)) + 4
-        kept[len(cases)] = (0, 0)
+        kept[len(cases)] = slice(None)
         cases.append(flat)
-    # DC = 2 (mod 8) and 2 on a +-1/8 basis image: half the samples tie. Any
-    # odd coefficient would move them off, so all 64 LSBs stay 0; the first
-    # render is then clean, and its pixels differ by the tie direction.
     tie_rng = np.random.default_rng(22)
     for slot in [(0, 4), (4, 0), (4, 4)] * 8:
         block = np.zeros((8, 8), dtype=np.int64)
@@ -363,7 +364,7 @@ def test_candidate_render_equals_full_render_on_dc_ties():
             pool = engine._pool_factor(slots, inverse_dct(cur))
             fast, _ = engine._candidate_pixels(pool, 0, 2, engine._Workspace())
             full = engine._to_pixels(inverse_dct(engine._nudged(cur, slots, rows)))
-            differing += not np.array_equal(fast, full)
+            differing += not np.array_equal(np.clip(fast, 0, 255), full)
     assert differing == 0
 
 
@@ -412,6 +413,7 @@ def test_exact_render_ties_round_up(monkeypatch, association):
             cur[0, 0] += shift
             pool = engine._pool_factor(slots, blockdct.inverse_dct(cur))
             fast, _ = engine._candidate_pixels(pool, 0, len(rows), ws)
+            fast = np.clip(fast, 0, 255)
             full = engine._to_pixels(blockdct.inverse_dct(engine._nudged(cur, slots, rows)))
             assert np.array_equal(fast, full)
             assert np.array_equal(fast[row], ceiling)
@@ -563,8 +565,8 @@ def test_spatial8_embed_equals_the_reference_search_on_a_near_full_cover():
 
 
 def test_candidate_render_equals_full_render_near_the_clamps():
-    # Pools whose samples come within _REACH of 0 or 255 are clipped, the
-    # others skip the clip; both must equal the full render.
+    # The candidate render is not clamped; clipped to 0..255, as the search
+    # clips the rows it reads, it must equal the full render at every level.
     rng = np.random.default_rng(71)
     rows = engine._ROWS
     ws = engine._Workspace()
@@ -576,8 +578,7 @@ def test_candidate_render_equals_full_render_near_the_clamps():
             pool = engine._pool_factor(slots, inverse_dct(cur))
             fast, _ = engine._candidate_pixels(pool, 0, len(rows), ws)
             full = engine._to_pixels(inverse_dct(engine._nudged(cur, slots, rows)))
-            assert np.array_equal(fast, full), level
-            assert np.abs(rows @ engine._BASIS[slots]).max() <= engine._REACH
+            assert np.array_equal(np.clip(fast, 0, 255), full), level
 
 
 def test_rounding_energy_is_the_coefficient_error_energy():
@@ -608,6 +609,16 @@ def test_energy_cut_is_one_standard_deviation_below_the_mean_rounding_energy():
     assert energy.std() == pytest.approx(math.sqrt(64 / 180), abs=0.01)
 
 
+def _clamped_cases(seed, levels, count):
+    """Blocks within 4 of each level, clipped to 0..255, with random bits."""
+    rng = np.random.default_rng(seed)
+    for level in levels:
+        for _ in range(count):
+            block = np.clip(level + rng.integers(-4, 5, (8, 8)), 0, 255).astype(np.float64)
+            bits = rng.integers(0, 2, (8, 8)).astype(np.int64)
+            yield set_lsb(quantize(forward_dct(block)), bits), bits
+
+
 def test_each_pass_verifies_exactly_the_candidates_below_the_cut(monkeypatch):
     renders, verified = [], []
     candidate_pixels, lsb_parity = engine._candidate_pixels, blockdct.lsb_parity
@@ -623,20 +634,25 @@ def test_each_pass_verifies_exactly_the_candidates_below_the_cut(monkeypatch):
 
     monkeypatch.setattr(engine, "_candidate_pixels", recording_render)
     monkeypatch.setattr(blockdct, "lsb_parity", recording_parity)
-    passes = screened = candidates = 0
-    for coeffs, bits in _noise_cases(76, 16):
+    passes = screened = candidates = clipped = 0
+    noise = list(_noise_cases(76, 16))
+    for index, (coeffs, bits) in enumerate(noise + list(_clamped_cases(77, (0, 2, 253, 255), 2))):
         renders.clear()
         verified.clear()
         _, residual = verify_adjust_block(coeffs, bits)
-        assert residual == 0
+        assert residual == 0 or index >= len(noise)
         # one 1-block call for the first render, then one call per pass
         assert len(verified) == 1 + len(renders) and verified[0].shape == (1, 8, 8)
         for (pixels, energy), blocks in zip(renders, verified[1:]):
-            assert np.array_equal(blocks, pixels[energy < engine._ENERGY_CUT])
-            screened += len(blocks)
-            candidates += len(pixels)
+            below = pixels[energy < engine._ENERGY_CUT]
+            assert np.array_equal(blocks, np.clip(below, 0, 255))  # only read rows clamp
+            clipped += int(((below < 0) | (below > 255)).any(axis=(1, 2)).sum())
+            if index < len(noise):
+                screened += len(blocks)
+                candidates += len(pixels)
         passes += len(renders)
     assert passes > 16 and 0.05 < screened / candidates < 0.3
+    assert clipped > 0
 
 
 def test_near_full_natural_embed_verifies_under_450_candidates_per_block(monkeypatch):

@@ -112,6 +112,17 @@ def test_parse_rejects_dim_symbol_mismatch():
         parse_frame(_unpacked(packed))
 
 
+@pytest.mark.parametrize("dims", [(5, 7), (1, 0), (0, 1)])
+def test_parse_rejects_bytes_kind_with_dims(dims):
+    # build_frame writes 0x0 for a bytes secret; any other dims are corrupt
+    good = build_frame(b"data").bits
+    assert parse_frame(good)[0].secret_width == 0
+    packed = bytearray(np.packbits(good.bits))
+    packed[4:8] = struct.pack(">HH", *dims)  # secret_width, secret_height
+    with pytest.raises(BadHeader, match="corrupt frame header"):
+        parse_frame(_unpacked(packed))
+
+
 def test_parse_truncation_points():
     frame = build_frame(b"some payload bytes")
     with pytest.raises(TruncatedFrame):
