@@ -83,10 +83,16 @@ def inverse_dct(coeffs, out=None):
     return np.matmul(np.matmul(_MT, coeffs, out=out[0]), _M, out=out[1])
 
 
-def quantize(coeffs):
-    """Round real coefficients to int64, halves away from zero (2.5 -> 3, -2.5 -> -3)."""
+def quantize(coeffs, out=None):
+    """Round real coefficients to int64, halves away from zero (2.5 -> 3, -2.5 -> -3).
+
+    out is an optional caller-owned float64 array shaped like coeffs, and
+    not coeffs itself: the same integers land there as floats and out is
+    returned, so a hot loop allocates nothing.
+    """
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    return np.trunc(coeffs + np.copysign(0.5, coeffs)).astype(np.int64)
+    rounded = np.trunc(np.add(coeffs, np.copysign(0.5, coeffs, out=out), out=out), out=out)
+    return rounded if out is not None else rounded.astype(np.int64)
 
 
 def lsb_parity(blocks, work=None, out=None):

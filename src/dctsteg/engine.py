@@ -127,15 +127,16 @@ def capacity(width, height):
 _TIE = 1e-10  # the margin by which a sample on a .5 tie rounds up
 
 
-def _to_pixels(samples):
+def _to_pixels(samples, out=None):
     """Round and clamp real samples to 8-bit pixel values (still float dtype).
 
     floor(v + 0.5 + _TIE): the nearest integer, and a .5 tie rounds up. An
     exact tie computes to within 1e-12 of .5, on either side, so it rounds
     up whatever order the transform summed in. The clamp sends negative
-    values to 0.
+    values to 0. out is an optional caller-owned float64 array shaped like
+    samples, which may be samples itself; the pixels land there.
     """
-    return np.clip(np.floor(samples + (0.5 + _TIE)), 0.0, 255.0)
+    return np.clip(np.floor(np.add(samples, 0.5 + _TIE, out=out), out=out), 0.0, 255.0, out=out)
 
 
 # _BASIS[i] is the inverse-DCT image of a unit coefficient i, flattened
@@ -350,7 +351,8 @@ def _render(coeffs, width, height, chunking):
         band = blockdct.block_grid(pixels[y : y + rows])
         first, real = y // BLOCK * band.shape[1], work[:, : band.shape[0] * band.shape[1]]
         real[1] = coeffs[first : first + real.shape[1]]
-        band[...] = _to_pixels(blockdct.inverse_dct(real[1], out=real)).reshape(band.shape)
+        samples = blockdct.inverse_dct(real[1], out=real)
+        band[...] = _to_pixels(samples, out=samples).reshape(band.shape)
     return Image8(pixels)
 
 
@@ -378,7 +380,8 @@ def embed(cover, frame, mode="container"):
         part = blockdct.partition(cover.pixels[y : y + rows])
         first = y // BLOCK * (width // BLOCK)
         chunk = coeffs[first : first + len(part)]
-        chunk[...] = blockdct.quantize(blockdct.forward_dct(part, out=work[:, : len(part)]))
+        real = work[:, : len(part)]
+        chunk[...] = blockdct.quantize(blockdct.forward_dct(part, out=real), out=real[0])
         marked = chunk[: max(0, used - first)]
         marked[...] = set_lsb(marked, bits[first : first + len(marked)])
     stego = _render(coeffs, width, height, chunking)

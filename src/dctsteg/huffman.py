@@ -111,12 +111,23 @@ def build_table(data):
 
 
 def encode(data, table):
-    """Concatenate canonical codewords for data in input order."""
+    """Concatenate canonical codewords for data in input order.
+
+    Under a complete fixed-length code (see decode) the codeword of a
+    symbol is its rank in table.symbols, so one unpackbits of the ranks,
+    keeping the last max_length bits of each byte, is the stream.
+    """
     data = bytes(data)
     used = np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256) > 0
     missing = np.flatnonzero(used & (table.code_lengths == 0))
     if missing.size:
         raise SymbolNotInTable(f"symbol 0x{missing[0]:02x} has no codeword")
+    m = table.max_length
+    if table.count[m] == 1 << m:
+        rank = np.zeros(256, dtype=np.uint8)
+        rank[table.symbols] = np.arange(1 << m)
+        words = np.unpackbits(np.frombuffer(data.translate(rank.tobytes()), dtype=np.uint8))
+        return Bitstream(words.reshape(-1, 8)[:, 8 - m:])
     strings = [None] * 256
     for s in np.flatnonzero(used):
         strings[s] = table.bit_string(int(s))
@@ -131,12 +142,27 @@ def decode(bits, table, symbol_count):
     starts at a bit offset; a Python loop then steps once per symbol along
     those lengths, reading a longer codeword as one int where it meets one,
     and one gather maps the short codewords it stepped on to their symbols.
+
+    A complete fixed-length code, where every max_length-bit word is a
+    codeword (Kraft then leaves no other length, so max_length <= 8), skips
+    the walk: the codeword of symbols[v] is v, so one packbits of the
+    codewords, each right-aligned in a byte, and one gather through
+    symbols decode the stream.
     """
     if symbol_count == 0:
         return b""
     if not table.symbols:
         raise InvalidCode("empty table cannot decode symbols")
     m = table.max_length
+    if table.count[m] == 1 << m:
+        # symbol_count comes from an untrusted header: check it before allocating
+        if bits.bit_length < symbol_count * m:
+            raise TruncatedStream(
+                f"stream ended after {bits.bit_length // m} of {symbol_count} symbols")
+        words = bits.bits[:symbol_count * m].reshape(-1, m)
+        if m < 8:
+            words = np.pad(words, ((0, 0), (8 - m, 0)))
+        return np.packbits(words).tobytes().translate(bytes(table.symbols).ljust(256, b"\0"))
     # Left-justified to m bits, the limits first_code[l] + count[l] rise with l.
     # A prefix that matched no shorter codeword is at least first_code[l], so
     # the codeword at an offset is as long as the first limit above its next m bits.

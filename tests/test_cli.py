@@ -13,10 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dctsteg import (
-    KIND_BYTES, KIND_IMAGE, Image8, build_frame, embed, extract, read_pgm, write_pgm,
+    KIND_BYTES, KIND_IMAGE, Image8, StegoContainer, build_frame, embed, extract, read_pgm,
+    write_pgm,
 )
 from dctsteg.cli import entry
-from dctsteg.errors import BadHeader, DimensionMismatch, InvalidCode, StegError
+from dctsteg.errors import (
+    BadHeader, DimensionMismatch, InvalidCode, PayloadLengthMismatch, StegError, TruncatedStream,
+)
 from dctsteg.framing import HEADER_BITS, TABLE_BITS, PayloadFrame, PayloadHeader
 from dctsteg.huffman import Bitstream, build_table, decode
 from support import natural_cover
@@ -482,6 +485,36 @@ def test_payload_flip_that_decodes_other_bytes_exit_4(capsys, tmp_path, cover_pa
     code, out, err = run_cli(capsys, "extract", "--in", stego, "--out", recovered)
     assert code == 4 and out == ""
     assert f"of {payload.size} payload bits" in err
+    assert not recovered.exists()
+
+
+@pytest.mark.parametrize("extra, error, message", [
+    (-1, TruncatedStream, "stream ended after 29999 of 30000 symbols"),
+    (8, PayloadLengthMismatch, "decoded 30000 symbols from 240000 of 240008 payload bits"),
+])
+def test_complete_code_payload_length_edit_exit_4(capsys, tmp_path, big_cover_path,
+                                                  extra, error, message):
+    # a random 30,000 B secret gets the complete 8-bit code: 8 payload bits a byte
+    secret = tmp_path / "secret.bin"
+    secret.write_bytes(np.random.default_rng(3).bytes(30_000))
+    stego = tmp_path / "stego.dsc"
+    run_cli(capsys, "embed", "--cover", big_cover_path, "--secret", secret, "--out", stego)
+    code, out, _ = run_cli(capsys, "inspect", "--in", stego)
+    fields = parse_kv(out)
+    assert code == 0 and fields["payload_bits"] == "240000"
+    assert fields["table_symbols"] == "256" and fields["max_code_length"] == "8"
+    data = bytearray(stego.read_bytes())
+    # frame bits 96..127 (payload_bit_length, u32) are the LSBs of coefficients 96..127
+    length = np.unpackbits(np.array([240_000 + extra], dtype=">u4").view(np.uint8))
+    for i, bit in enumerate(length):
+        data[8 + 2 * (96 + i) + 1] = (data[8 + 2 * (96 + i) + 1] & 0xFE) | int(bit)
+    stego.write_bytes(bytes(data))
+    with pytest.raises(error, match=f"^{message}$"):
+        extract(StegoContainer.from_bytes(data))
+    recovered = tmp_path / "recovered.bin"
+    code, out, err = run_cli(capsys, "extract", "--in", stego, "--out", recovered)
+    assert code == 4 and out == ""
+    assert err == f"error: {message}\n"
     assert not recovered.exists()
 
 

@@ -259,11 +259,22 @@ def outcome(decoder, bits, table, symbol_count):
         return type(exc), str(exc)
 
 
+def complete_table(length, symbols):
+    """The complete fixed-length code: the first 2**length of symbols, each length bits long."""
+    lengths = np.zeros(256, dtype=np.uint8)
+    lengths[list(symbols)[:1 << length]] = length
+    return parse_table(Bitstream(np.unpackbits(lengths)))
+
+
 @st.composite
 def code_tables(draw):
-    """Tables from build_table, or Kraft-exact or incomplete ones through parse_table."""
-    if draw(st.booleans()):
+    """Tables from build_table, complete fixed-length codes, or Kraft-exact or
+    incomplete ones through parse_table."""
+    kind = draw(st.sampled_from(["built", "complete", "chain"]))
+    if kind == "built":
         return build_table(draw(st.binary(min_size=1, max_size=300)))
+    if kind == "complete":
+        return complete_table(draw(st.integers(1, 8)), draw(st.permutations(range(256))))
     # a chain with a codeword of every length up to top is Kraft-exact, and
     # stays so as leaves split; dropping leaves makes it incomplete
     top = draw(st.integers(1, 255))
@@ -294,6 +305,19 @@ def test_decode_matches_per_bit_reference(table, data):
     count = max(0, len(secret) + data.draw(st.integers(-2, 5)))
     stream = Bitstream(bits)
     assert outcome(decode, stream, table, count) == outcome(reference_decode, stream, table, count)
+
+
+@given(st.integers(1, 8), st.permutations(range(256)), st.data())
+@settings(max_examples=100, deadline=None)
+def test_encode_complete_codes_joins_the_reference_codes(length, symbols, data):
+    table = complete_table(length, symbols)
+    assert table.count[length] == 1 << length and len(table.symbols) == 1 << length
+    codes = reference_canonical_codes(table.code_lengths.tolist())
+    secret = bytes(data.draw(st.lists(st.sampled_from(table.symbols), max_size=300)))
+    joined = "".join(format(code, f"0{length}b") for code, _ in map(codes.__getitem__, secret))
+    bits = encode(secret, table)
+    assert "".join(map(str, bits.bits.tolist())) == joined
+    assert decode(bits, table, len(secret)) == secret
 
 
 @pytest.mark.parametrize("long", [16, 17, 56, 57, 58, 64])
