@@ -5,6 +5,7 @@ Codes are defined entirely by their lengths: codewords are assigned in
 """
 
 import bisect
+import functools
 import heapq
 
 import numpy as np
@@ -20,6 +21,8 @@ from .errors import (
 
 TABLE_BITS = 2048  # 256 symbols x 8-bit code length
 LOOKUP_BITS = 16  # decode finds codes up to this long in one lookup table
+STRIDE_LOG = 4  # decode steps over 2**STRIDE_LOG short codewords at a time
+STRIDE = 1 << STRIDE_LOG
 
 
 class Bitstream:
@@ -62,10 +65,15 @@ class HuffmanTable:
         for l in range(1, self.max_length + 1):
             self.first_code[l] = (self.first_code[l - 1] + self.count[l - 1]) << 1
             self.first_index[l] = self.first_index[l - 1] + self.count[l - 1]
-        self.codewords = {}  # symbol -> (code value, length)
+
+    @functools.cached_property
+    def codewords(self):
+        """symbol -> (code value, length), built on first use."""
+        codewords = {}
         for idx, symbol in enumerate(self.symbols):
-            l = int(lengths[symbol])
-            self.codewords[symbol] = (self.first_code[l] + idx - self.first_index[l], l)
+            l = int(self.code_lengths[symbol])
+            codewords[symbol] = (self.first_code[l] + idx - self.first_index[l], l)
+        return codewords
 
     def bit_string(self, symbol):
         """Codeword of symbol as a '0'/'1' string."""
@@ -139,9 +147,13 @@ def decode(bits, table, symbol_count):
     """Decode exactly symbol_count symbols from a canonical-code bitstream.
 
     numpy finds the length of every codeword up to LOOKUP_BITS long that
-    starts at a bit offset; a Python loop then steps once per symbol along
-    those lengths, reading a longer codeword as one int where it meets one,
-    and one gather maps the short codewords it stepped on to their symbols.
+    starts at a bit offset, and composes those steps STRIDE_LOG times with
+    itself into the offset STRIDE such short codewords on. A Python loop
+    then jumps a stride at a time while one is whole and fits in
+    symbol_count, and otherwise steps one codeword, reading a longer
+    codeword as one int where it meets one. numpy marks the codeword starts
+    inside each stride, and a table indexed by the next width bits maps each
+    short codeword to its symbol.
 
     A complete fixed-length code, where every max_length-bit word is a
     codeword (Kraft then leaves no other length, so max_length <= 8), skips
@@ -171,41 +183,55 @@ def decode(bits, table, symbol_count):
     base = [i - f for i, f in zip(table.first_index, table.first_code)]
     width = min(m, LOOKUP_BITS)
     length, index = _codeword_lengths(bits, lefts, width)
+    # far[p] is the offset STRIDE short codewords after p, or the first offset
+    # on the way with no short codeword (long, invalid or cut off), which maps
+    # to itself; so a stride is whole exactly when length[far[p]] is nonzero
+    far = np.arange(bits.bit_length + 1) + length
+    for _ in range(STRIDE_LOG):
+        far = far[far]
+    jumps = memoryview(far)
     steps = memoryview(length)  # indexing yields cached small ints, copying nothing
-    visited = bytearray(bits.bit_length + 1)
+    visited = bytearray(bits.bit_length + 1)  # 2 marks a stride head, 1 any other start
     late = []  # symbols of codewords longer than width, in stream order
+    last = symbol_count - STRIDE  # a stride may start at or before symbol last
     p = k = 0
-    while True:
-        for k in range(k, symbol_count):
-            step = steps[p]
-            if not step:
-                break
-            visited[p] = 1
-            p += step
-        else:
-            break
-        chunk = bits.bits[p:p + m]
-        # the next m bits as one int, zero-filled past the end of the stream
-        packed_chunk = np.packbits(chunk)
-        value = (int.from_bytes(packed_chunk.tobytes(), "big") << m) >> (8 * packed_chunk.size)
-        step = bisect.bisect_right(lefts, value) + 1
-        if step > chunk.size:
-            if chunk.size == m:
-                raise InvalidCode(f"no codeword matches prefix of length {m}")
-            raise TruncatedStream(f"stream ended after {k} of {symbol_count} symbols")
-        late.append(table.symbols[(value >> (m - step)) + base[step]])
+    while k < symbol_count:
+        if k <= last:
+            q = jumps[p]
+            if steps[q]:
+                visited[p] = 2
+                p = q
+                k += STRIDE
+                continue
+        step = steps[p]
+        if not step:
+            chunk = bits.bits[p:p + m]
+            # the next m bits as one int, zero-filled past the end of the stream
+            packed_chunk = np.packbits(chunk)
+            value = (int.from_bytes(packed_chunk.tobytes(), "big") << m) >> (8 * packed_chunk.size)
+            step = bisect.bisect_right(lefts, value) + 1
+            if step > chunk.size:
+                if chunk.size == m:
+                    raise InvalidCode(f"no codeword matches prefix of length {m}")
+                raise TruncatedStream(f"stream ended after {k} of {symbol_count} symbols")
+            late.append(table.symbols[(value >> (m - step)) + base[step]])
         visited[p] = 1
         p += step
         k += 1
-    starts = np.flatnonzero(np.frombuffer(visited, dtype=np.uint8))
-    lengths = length[starts]
-    short = lengths > 0
-    lengths = lengths[short].astype(np.intp)
-    codes = index[starts[short]] >> (width - lengths).astype(np.uint32)
-    out = np.empty(starts.size, dtype=np.uint8)
-    out[short] = np.asarray(table.symbols, dtype=np.uint8)[
-        codes.astype(np.intp) + np.array(base[:width + 1], dtype=np.intp)[lengths]]
-    out[~short] = late
+    marks = np.frombuffer(visited, dtype=np.uint8)
+    at = np.flatnonzero(marks == 2)
+    for _ in range(STRIDE - 1):  # the other starts of each stride, one codeword on at a time
+        at += length[at]
+        marks[at] = 1
+    # the next width bits name the short codeword they start with: symbol s
+    # covers 2**(width - length) of them, in canonical order
+    short = np.array(table.symbols[:table.first_index[width] + table.count[width]], dtype=np.uint8)
+    covered = np.repeat(short, 1 << (width - table.code_lengths[short]))
+    symbol_at = np.zeros(1 << width, dtype=np.uint8)
+    symbol_at[:covered.size] = covered
+    starts = np.flatnonzero(marks)
+    out = symbol_at[index[starts]]
+    out[length[starts] == 0] = late
     return out.tobytes()
 
 
@@ -250,12 +276,9 @@ def parse_table(bits):
     """Inverse of serialize_table; rejects length sets that overfill the code space."""
     if bits.bit_length != TABLE_BITS:
         raise WrongLength(f"expected {TABLE_BITS} bits, got {bits.bit_length}")
-    lengths = np.packbits(bits.bits).astype(np.int64)
-    nonzero = lengths[lengths > 0]
-    if nonzero.size >= 2:
-        # Kraft sum over 2^-len, computed exactly in integers
-        top = int(nonzero.max())
-        total = sum(1 << (top - int(l)) for l in nonzero)
-        if total > (1 << top):
-            raise KraftViolation("code lengths overfill the prefix code space")
-    return HuffmanTable(lengths)
+    table = HuffmanTable(np.packbits(bits.bits))
+    # Kraft sum over 2^-len, computed exactly in integers, one term per length
+    top = table.max_length
+    if sum(c << (top - l) for l, c in enumerate(table.count)) > 1 << top:
+        raise KraftViolation("code lengths overfill the prefix code space")
+    return table

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dctsteg.huffman import (
+    STRIDE,
     Bitstream,
     build_table,
     decode,
@@ -296,7 +297,12 @@ def code_tables(draw):
 @given(code_tables(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_decode_matches_per_bit_reference(table, data):
-    secret = bytes(data.draw(st.lists(st.sampled_from(table.symbols), min_size=1, max_size=40)))
+    # up to 50 strides; each symbol is drawn with probability 2**-length, so
+    # short codewords fill the strides and long ones stall a few of them
+    size = data.draw(st.integers(1, 50 * STRIDE))
+    weights = np.exp2(-table.code_lengths[table.symbols].astype(float))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    secret = bytes(rng.choice(table.symbols, size, p=weights / weights.sum()).astype(np.uint8))
     bits = encode(secret, table).bits.copy()
     for i in data.draw(st.lists(st.integers(0, bits.size - 1), max_size=3)):
         bits[i] ^= 1
@@ -340,6 +346,29 @@ def test_decode_long_codes_first_and_last(long):
             decode(short, table, len(secret))
         assert outcome(decode, short, table, len(secret)) == outcome(
             reference_decode, short, table, len(secret))
+
+
+@pytest.mark.parametrize("at", range(STRIDE + 1))
+def test_decode_long_code_inside_and_after_the_first_stride(at):
+    # symbol s has length s + 1, and 17 shares length 17 with 16: codes of 1-4
+    # bits fill the strides, and symbol 17, seventeen ones, is longer than
+    # LOOKUP_BITS, so the stride that holds it stalls
+    lengths = np.zeros(256, dtype=np.uint8)
+    lengths[:17] = np.arange(1, 18)
+    lengths[17] = 17
+    table = parse_table(Bitstream(np.unpackbits(lengths)))
+    assert table.bit_string(17) == "1" * 17
+    plain = bytes([0, 1, 2, 3, 0, 0, 1]) * (3 * STRIDE)
+    secret = plain[:at] + b"\x11" + plain[at:3 * STRIDE]
+    bits = encode(secret, table)
+    for cut in [bits.bit_length, bits.bit_length - 1]:
+        stream = Bitstream(bits.bits[:cut])
+        for j in [1, 2, 3]:
+            for count in [j * STRIDE - 1, j * STRIDE, j * STRIDE + 1]:
+                expected = outcome(reference_decode, stream, table, count)
+                if cut == bits.bit_length:
+                    assert expected == secret[:count]
+                assert outcome(decode, stream, table, count) == expected
 
 
 def test_decode_huge_symbol_count_is_bounded_by_the_stream():
