@@ -23,6 +23,7 @@ TABLE_BITS = 2048  # 256 symbols x 8-bit code length
 LOOKUP_BITS = 16  # decode finds codes up to this long in one lookup table
 STRIDE_LOG = 4  # decode steps over 2**STRIDE_LOG short codewords at a time
 STRIDE = 1 << STRIDE_LOG
+DOUBLING_BLOCK = 1 << 15  # offsets composed per gather, bounding the temporary
 
 
 class Bitstream:
@@ -185,10 +186,15 @@ def decode(bits, table, symbol_count):
     length, index = _codeword_lengths(bits, lefts, width)
     # far[p] is the offset STRIDE short codewords after p, or the first offset
     # on the way with no short codeword (long, invalid or cut off), which maps
-    # to itself; so a stride is whole exactly when length[far[p]] is nonzero
+    # to itself; so a stride is whole exactly when length[far[p]] is nonzero.
+    # Each pass composes far with itself in place, a block at a time: a block
+    # reads only offsets at or after its own (far[p] >= p), which later
+    # blocks have not yet overwritten, so one array of offsets is live.
     far = np.arange(bits.bit_length + 1) + length
     for _ in range(STRIDE_LOG):
-        far = far[far]
+        for head in range(0, far.size, DOUBLING_BLOCK):
+            block = far[head:head + DOUBLING_BLOCK]
+            block[:] = far[block]
     jumps = memoryview(far)
     steps = memoryview(length)  # indexing yields cached small ints, copying nothing
     visited = bytearray(bits.bit_length + 1)  # 2 marks a stride head, 1 any other start

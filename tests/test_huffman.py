@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dctsteg.huffman import (
+    DOUBLING_BLOCK,
     STRIDE,
     Bitstream,
     build_table,
@@ -295,14 +296,23 @@ def code_tables(draw):
 
 
 @given(code_tables(), st.data())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 def test_decode_matches_per_bit_reference(table, data):
-    # up to 50 strides; each symbol is drawn with probability 2**-length, so
-    # short codewords fill the strides and long ones stall a few of them
-    size = data.draw(st.integers(1, 50 * STRIDE))
-    weights = np.exp2(-table.code_lengths[table.symbols].astype(float))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    secret = bytes(rng.choice(table.symbols, size, p=weights / weights.sum()).astype(np.uint8))
+    if data.draw(st.booleans()):
+        # short secrets drawn uniformly: long codewords are as likely as short ones
+        secret = bytes(data.draw(st.lists(st.sampled_from(table.symbols), min_size=1, max_size=40)))
+    else:
+        # up to 50 strides of symbols drawn with probability 2**-length, so
+        # short codewords fill the strides, with a few uniformly drawn symbols
+        # spliced in to stall strides on long codewords
+        size = data.draw(st.integers(1, 50 * STRIDE))
+        weights = np.exp2(-table.code_lengths[table.symbols].astype(float))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        run = rng.choice(table.symbols, size, p=weights / weights.sum()).tolist()
+        spliced = st.tuples(st.integers(0, size), st.sampled_from(table.symbols))
+        for at, symbol in data.draw(st.lists(spliced, min_size=1, max_size=8)):
+            run.insert(at, symbol)
+        secret = bytes(run)
     bits = encode(secret, table).bits.copy()
     for i in data.draw(st.lists(st.integers(0, bits.size - 1), max_size=3)):
         bits[i] ^= 1
@@ -370,6 +380,24 @@ def test_decode_long_code_inside_and_after_the_first_stride(at):
                     assert expected == secret[:count]
                 assert outcome(decode, stream, table, count) == expected
 
+
+def test_decode_spans_several_doubling_blocks():
+    # short codewords run across three doubling-block boundaries, so strides
+    # near a boundary reach offsets that a later block composes; each shift
+    # moves the stride heads against the boundaries
+    table = build_table(b"a" * 8 + b"b" * 4 + b"c" * 2 + b"d")
+    rng = np.random.default_rng(3)
+    weights = [8 / 15, 4 / 15, 2 / 15, 1 / 15]
+    run = rng.choice(np.frombuffer(b"abcd", np.uint8), 2 * DOUBLING_BLOCK, p=weights).tobytes()
+    for shift in range(STRIDE):
+        secret = run[shift:]
+        bits = encode(secret, table)
+        assert bits.bit_length > 3 * DOUBLING_BLOCK
+        assert decode(bits, table, len(secret)) == secret
+    stream = Bitstream(bits.bits.copy())
+    stream.bits[2 * DOUBLING_BLOCK + 5] ^= 1
+    for count in [len(secret) - 1, len(secret)]:
+        assert outcome(decode, stream, table, count) == outcome(reference_decode, stream, table, count)
 
 def test_decode_huge_symbol_count_is_bounded_by_the_stream():
     table = build_table(b"ab")
