@@ -7,7 +7,9 @@ per payload block, because rounding pixels to integers perturbs coefficient
 LSBs; residual errors are reported honestly instead of hidden.
 """
 
+import os
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +60,7 @@ class StegoContainer:
 
     def to_bytes(self):
         header = _CONTAINER_HEADER.pack(CONTAINER_MAGIC, self.width, self.height)
-        return header + self.coeffs.astype(">i2", copy=False).tobytes()
+        return header + np.ascontiguousarray(self.coeffs, dtype=">i2").data  # one copy
 
     @classmethod
     def from_bytes(cls, data):
@@ -333,27 +335,65 @@ def verify_adjust_block(coeffs, bits, ws=None):
     return best_pixels.astype(np.uint8), best_residual
 
 
-def _chunking(width, height):
-    """Pixel rows per chunk of the whole-cover passes, and a float work buffer for one.
+def _cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _chunk_pass(coeffs, pixels, cover=None, bits=None):
+    """Render coefficient blocks into pixels chunk by chunk, computing them first from a cover.
 
     Chunks are whole block rows: _CHUNK_BLOCKS blocks, or one row at least.
+    With a cover, each chunk's blocks are cast into a float buffer, forward
+    transformed and quantized into coeffs, and block i < len(bits) takes
+    bits[i] in its LSBs; the chunk is then rendered while its buffer is
+    warm. Every step is per block, so the chunks are split over one thread
+    per CPU, each with its own buffer, and the split changes no value. A
+    worker's exception is raised once every thread has joined.
     """
+    height, width = pixels.shape
     across = width // BLOCK
     rows = BLOCK * max(1, _CHUNK_BLOCKS // across)
-    return rows, np.empty((2, min(rows, height) // BLOCK * across, BLOCK, BLOCK))
+    starts = range(0, height, rows)
+    workers = min(_cpus(), len(starts))
+    shape = (2, min(rows, height) // BLOCK * across, BLOCK, BLOCK)
+    buffers = [np.empty(shape) for _ in range(workers)]
+    errors = []
 
+    def work(share, buffer):
+        try:
+            for y in share:
+                band = blockdct.block_grid(pixels[y : y + rows])
+                first = y // BLOCK * across
+                real = buffer[:, : band.shape[0] * across]
+                chunk = coeffs[first : first + real.shape[1]]
+                if cover is not None:
+                    np.copyto(real[1].reshape(band.shape), blockdct.block_grid(cover[y : y + rows]))
+                    dct = blockdct.forward_dct(real[1], out=real)
+                    chunk[...] = blockdct.quantize(dct, out=real[0])
+                    marked = chunk[: max(0, len(bits) - first)]
+                    marked[...] = set_lsb(marked, bits[first : first + len(marked)])
+                real[1] = chunk
+                samples = blockdct.inverse_dct(real[1], out=real)
+                band[...] = _to_pixels(samples, out=samples).reshape(band.shape)
+        except BaseException as exc:  # raised by the calling thread after the join
+            errors.append(exc)
 
-def _render(coeffs, width, height, chunking):
-    """The Image8 of coefficient blocks, rendered chunk by chunk."""
-    pixels = np.empty((height, width), dtype=np.uint8)
-    rows, work = chunking
-    for y in range(0, height, rows):
-        band = blockdct.block_grid(pixels[y : y + rows])
-        first, real = y // BLOCK * band.shape[1], work[:, : band.shape[0] * band.shape[1]]
-        real[1] = coeffs[first : first + real.shape[1]]
-        samples = blockdct.inverse_dct(real[1], out=real)
-        band[...] = _to_pixels(samples, out=samples).reshape(band.shape)
-    return Image8(pixels)
+    started = []
+    try:
+        for k in range(1, workers):
+            thread = threading.Thread(target=work, args=(starts[k::workers], buffers[k]))
+            thread.start()
+            started.append(thread)
+        work(starts[::workers], buffers[0])
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def embed(cover, frame, mode="container"):
@@ -362,7 +402,7 @@ def embed(cover, frame, mode="container"):
     Bit group i of the frame lands in the LSBs of coefficient block i; blocks
     past the frame keep their plain quantized coefficients. Returns
     (StegoContainer, report) in container mode or (Image8, report) in
-    spatial8 mode. A forward pass, then _render, over chunks of block rows.
+    spatial8 mode. One _chunk_pass computes the coefficients and renders them.
     """
     if mode not in ("container", "spatial8"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -375,16 +415,9 @@ def embed(cover, frame, mode="container"):
     bits = frame.bits.bits.reshape(-1, BLOCK, BLOCK)
     used = len(bits)
     coeffs = np.empty((width * height // BLOCK**2, BLOCK, BLOCK), dtype=np.int16)
-    rows, work = chunking = _chunking(width, height)  # a fresh buffer per pass costs more
-    for y in range(0, height, rows):
-        part = blockdct.partition(cover.pixels[y : y + rows])
-        first = y // BLOCK * (width // BLOCK)
-        chunk = coeffs[first : first + len(part)]
-        real = work[:, : len(part)]
-        chunk[...] = blockdct.quantize(blockdct.forward_dct(part, out=real), out=real[0])
-        marked = chunk[: max(0, used - first)]
-        marked[...] = set_lsb(marked, bits[first : first + len(marked)])
-    stego = _render(coeffs, width, height, chunking)
+    pixels = np.empty((height, width), dtype=np.uint8)
+    _chunk_pass(coeffs, pixels, cover.pixels, bits)
+    stego = Image8(pixels)
     residual = 0
     if mode == "spatial8":
         ws, grid = _Workspace(), blockdct.block_grid(stego.pixels)
@@ -397,13 +430,14 @@ def embed(cover, frame, mode="container"):
 
 
 def render(container):
-    """8-bit view of a container: the render pass of embed, chunk by chunk.
+    """8-bit view of a container: the render half of embed's chunk pass.
 
     For viewing and fidelity scoring; extraction in container mode reads the
     coefficients directly.
     """
-    width, height = container.width, container.height
-    return _render(container.coeffs, width, height, _chunking(width, height))
+    pixels = np.empty((container.height, container.width), dtype=np.uint8)
+    _chunk_pass(container.coeffs, pixels)
+    return Image8(pixels)
 
 
 def read_frame(stego):
@@ -413,10 +447,10 @@ def read_frame(stego):
     Returns (header, table, payload bits).
     """
     if isinstance(stego, StegoContainer):
-        lsbs = get_lsb(stego.coeffs)
+        lsbs = get_lsb(stego.coeffs.astype(np.uint8))  # bit 0 survives the mod-256 wrap
     else:
-        lsbs = blockdct.lsb_parity(blockdct.partition(stego))
-    return framing.parse_frame(huffman.Bitstream(lsbs.reshape(-1).astype(np.uint8)))
+        lsbs = blockdct.lsb_parity(blockdct.partition(stego)).view(np.uint8)
+    return framing.parse_frame(huffman.Bitstream(lsbs.reshape(-1)))
 
 
 def extract(stego):

@@ -1,6 +1,8 @@
 """Embedding engine tests: LSB plumbing, both artifact modes, verify/adjust."""
 
+import itertools
 import math
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -195,11 +197,15 @@ def _chunk_and_total(width, height):
     return across * max(1, engine._CHUNK_BLOCKS // across), across * (height // 8)
 
 
+# one thread, or chunks split unevenly over three (one each when there are three)
+_WORKER_COUNTS = (1, 3)
+
+
 @pytest.mark.parametrize(
     "width, height", [(128, 128), (512, 512), (520, 512)],
     ids=["under one chunk", "two whole chunks", "last chunk partial"],
 )
-def test_chunked_container_embed_equals_the_whole_cover_reference(width, height):
+def test_chunked_container_embed_equals_the_whole_cover_reference(monkeypatch, width, height):
     chunk, total = _chunk_and_total(width, height)
     # blocks in the last chunk
     assert total % chunk == {(128, 128): 256, (512, 512): 0, (520, 512): 130}[width, height]
@@ -207,15 +213,20 @@ def test_chunked_container_embed_equals_the_whole_cover_reference(width, height)
     ends = {0, 1, total // 2, chunk // 2 + 3, chunk - 1, chunk, chunk + 1, total - 1, total}
     for used in sorted(end for end in ends if end <= total):
         frame = _frame_of_blocks(used, used)
-        container, report = embed(cover, frame)
         coeffs, pixels, _ = reference_embed(cover, frame)
-        assert report.blocks_used == used
-        assert np.array_equal(container.coeffs, coeffs), used
-        assert report.psnr_db == psnr(cover, Image8(pixels)).psnr_db, used
-        assert np.array_equal(render(container).pixels, pixels), used
+        for workers in _WORKER_COUNTS:
+            monkeypatch.setattr(engine, "_cpus", lambda: workers)
+            container, report = embed(cover, frame)
+            assert report.blocks_used == used
+            assert np.array_equal(container.coeffs, coeffs), (used, workers)
+            assert report.psnr_db == psnr(cover, Image8(pixels)).psnr_db, (used, workers)
+            assert np.array_equal(render(container).pixels, pixels), (used, workers)
     # with no payload block, the spatial8 artifact is the chunked render itself
-    stego, report = embed(cover, _frame_of_blocks(0, 0), mode="spatial8")
-    assert np.array_equal(stego.pixels, reference_embed(cover, _frame_of_blocks(0, 0))[1])
+    pixels = reference_embed(cover, _frame_of_blocks(0, 0))[1]
+    for workers in _WORKER_COUNTS:
+        monkeypatch.setattr(engine, "_cpus", lambda: workers)
+        stego, report = embed(cover, _frame_of_blocks(0, 0), mode="spatial8")
+        assert np.array_equal(stego.pixels, pixels), workers
 
 
 @pytest.mark.parametrize("chunk_blocks", [5, 24])
@@ -227,13 +238,38 @@ def test_chunked_spatial8_embed_equals_the_whole_cover_reference(monkeypatch, ch
     cover = _cover(64, 64, 91)
     for used in sorted({chunk // 2 + 1, chunk, chunk + 1, total}):
         frame = _frame_of_blocks(used, used)
-        stego, report = embed(cover, frame, mode="spatial8")
         _, pixels, residual = reference_embed(cover, frame, mode="spatial8")
-        assert report.residual_bit_errors == residual, used
-        assert np.array_equal(stego.pixels, pixels), used
-        container, _ = embed(cover, frame)
         rendered = reference_embed(cover, frame)[1]
-        assert np.array_equal(render(container).pixels, rendered), used
+        for workers in _WORKER_COUNTS:
+            monkeypatch.setattr(engine, "_cpus", lambda: workers)
+            stego, report = embed(cover, frame, mode="spatial8")
+            assert report.residual_bit_errors == residual, (used, workers)
+            assert np.array_equal(stego.pixels, pixels), (used, workers)
+            container, _ = embed(cover, frame)
+            assert np.array_equal(render(container).pixels, rendered), (used, workers)
+
+
+def test_a_worker_exception_leaves_embed_and_render_after_every_thread_joined(monkeypatch):
+    # A 512^2 cover is two chunks, one per worker; the second inverse DCT of
+    # the pass raises, in whichever thread makes it.
+    monkeypatch.setattr(engine, "_cpus", lambda: 2)
+    cover = _cover(512, 512, 84)
+    container, _ = embed(cover, build_frame(b"two workers"))
+    real_inverse, failure = blockdct.inverse_dct, RuntimeError("second inverse DCT")
+    for run in (lambda: embed(cover, build_frame(b"two workers")), lambda: render(container)):
+        calls = itertools.count(1)
+
+        def inverse_dct(coeffs, out=None):
+            if next(calls) == 2:
+                raise failure
+            return real_inverse(coeffs, out=out)
+
+        monkeypatch.setattr(blockdct, "inverse_dct", inverse_dct)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            run()
+        assert raised.value is failure
+        assert threading.active_count() == before
 
 
 def test_container_embed_allocates_chunk_sized_temporaries():
