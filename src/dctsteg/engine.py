@@ -218,7 +218,7 @@ _MAX_ROUNDS = 16
 _ENERGY_CUT = BLOCK * BLOCK / 12 - np.sqrt(BLOCK * BLOCK / 180)
 _MIN_PASS = 128  # pool rows rendered in one pass at least
 _RECORD = np.dtype((np.void, BLOCK * BLOCK))  # one block's 64 bools, compared at once
-_CHUNK_BLOCKS = 2048  # blocks per chunk of the whole-cover passes, 1 MB per float buffer
+_CHUNK_BLOCKS = 2048  # blocks in all the chunk pass's float buffers, 1 MB per slab
 
 
 def _sign_patterns():
@@ -346,19 +346,23 @@ def _cpus():
 def _chunk_pass(coeffs, pixels, cover=None, bits=None):
     """Render coefficient blocks into pixels chunk by chunk, computing them first from a cover.
 
-    Chunks are whole block rows: _CHUNK_BLOCKS blocks, or one row at least.
-    With a cover, each chunk's blocks are cast into a float buffer, forward
-    transformed and quantized into coeffs, and block i < len(bits) takes
-    bits[i] in its LSBs; the chunk is then rendered while its buffer is
-    warm. Every step is per block, so the chunks are split over one thread
-    per CPU, each with its own buffer, and the split changes no value. A
-    worker's exception is raised once every thread has joined.
+    Chunks are whole block rows. With a cover, each chunk's blocks are cast
+    into a float buffer, forward transformed and quantized into coeffs, and
+    block i < len(bits) takes bits[i] in its LSBs; the chunk is then
+    rendered while its buffer is warm. Every step is per block, so the
+    chunks are split over one thread per CPU, each with its own buffer, and
+    the split changes no value. The buffers share one budget of _CHUNK_BLOCKS
+    blocks, one block row at least, whatever the CPU count: n threads take
+    chunks of 1/n of the budget's rows, and there are never more threads
+    than budget rows or than chunks of the whole budget. A worker's
+    exception is raised once every thread has joined.
     """
     height, width = pixels.shape
     across = width // BLOCK
-    rows = BLOCK * max(1, _CHUNK_BLOCKS // across)
+    budget = max(1, _CHUNK_BLOCKS // across)  # block rows of all the buffers
+    workers = min(_cpus(), budget, -(-height // (BLOCK * budget)))
+    rows = BLOCK * (budget // workers)
     starts = range(0, height, rows)
-    workers = min(_cpus(), len(starts))
     shape = (2, min(rows, height) // BLOCK * across, BLOCK, BLOCK)
     buffers = [np.empty(shape) for _ in range(workers)]
     errors = []

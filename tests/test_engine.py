@@ -192,12 +192,15 @@ def _frame_of_blocks(count, seed):
     return PayloadFrame(Bitstream(bits), PayloadHeader(0, 0, 0, 0, 0))
 
 
-def _chunk_and_total(width, height):
+def _chunk_and_total(width, height, cpus=1):
+    """Blocks in a chunk of the pass split over cpus, and in the cover."""
     across = width // 8
-    return across * max(1, engine._CHUNK_BLOCKS // across), across * (height // 8)
+    budget = max(1, engine._CHUNK_BLOCKS // across)
+    workers = min(cpus, budget, -(-(height // 8) // budget))
+    return across * (budget // workers), across * (height // 8)
 
 
-# one thread, or chunks split unevenly over three (one each when there are three)
+# one thread, or the budget split into smaller chunks over up to three
 _WORKER_COUNTS = (1, 3)
 
 
@@ -210,7 +213,10 @@ def test_chunked_container_embed_equals_the_whole_cover_reference(monkeypatch, w
     # blocks in the last chunk
     assert total % chunk == {(128, 128): 256, (512, 512): 0, (520, 512): 130}[width, height]
     cover = _cover(width, height, width + height)
-    ends = {0, 1, total // 2, chunk // 2 + 3, chunk - 1, chunk, chunk + 1, total - 1, total}
+    ends = {0, 1, total // 2, chunk // 2 + 3, total - 1, total}
+    for workers in _WORKER_COUNTS:
+        split = _chunk_and_total(width, height, workers)[0]
+        ends |= {split - 1, split, split + 1}
     for used in sorted(end for end in ends if end <= total):
         frame = _frame_of_blocks(used, used)
         coeffs, pixels, _ = reference_embed(cover, frame)
@@ -232,7 +238,8 @@ def test_chunked_container_embed_equals_the_whole_cover_reference(monkeypatch, w
 @pytest.mark.parametrize("chunk_blocks", [5, 24])
 def test_chunked_spatial8_embed_equals_the_whole_cover_reference(monkeypatch, chunk_blocks):
     # A 64x64 cover has 8 blocks a row: chunks of one row (5 rounds up to a
-    # row), or of 24, 24 and 16 blocks.
+    # row, so one thread), or of 24, 24 and 16 blocks (one row each over
+    # three threads).
     monkeypatch.setattr(engine, "_CHUNK_BLOCKS", chunk_blocks)
     chunk, total = _chunk_and_total(64, 64)
     cover = _cover(64, 64, 91)
@@ -249,9 +256,33 @@ def test_chunked_spatial8_embed_equals_the_whole_cover_reference(monkeypatch, ch
             assert np.array_equal(render(container).pixels, rendered), (used, workers)
 
 
+def test_the_threads_share_one_buffer_budget_whatever_the_cpu_count(monkeypatch):
+    # A 64x512 cover is 64 block rows of 8 blocks and a 24-block budget is
+    # three rows: 64 CPUs get three workers (the caller and two threads),
+    # each with one-row buffers, not a three-row buffer per CPU.
+    monkeypatch.setattr(engine, "_CHUNK_BLOCKS", 24)
+    monkeypatch.setattr(engine, "_cpus", lambda: 64)
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Thread)
+    cover = _cover(64, 512, 93)
+    frame = _frame_of_blocks(300, 93)
+    coeffs, pixels, _ = reference_embed(cover, frame)
+    container, _ = embed(cover, frame)
+    assert len(started) == 2
+    assert np.array_equal(container.coeffs, coeffs)
+    assert np.array_equal(render(container).pixels, pixels)
+    assert len(started) == 4
+
+
 def test_a_worker_exception_leaves_embed_and_render_after_every_thread_joined(monkeypatch):
-    # A 512^2 cover is two chunks, one per worker; the second inverse DCT of
-    # the pass raises, in whichever thread makes it.
+    # A 512^2 cover is four chunks, two per worker; the second inverse DCT
+    # of the pass raises, in whichever thread makes it.
     monkeypatch.setattr(engine, "_cpus", lambda: 2)
     cover = _cover(512, 512, 84)
     container, _ = embed(cover, build_frame(b"two workers"))
@@ -272,9 +303,11 @@ def test_a_worker_exception_leaves_embed_and_render_after_every_thread_joined(mo
         assert threading.active_count() == before
 
 
-def test_container_embed_allocates_chunk_sized_temporaries():
+def test_container_embed_allocates_chunk_sized_temporaries(monkeypatch):
     # The whole-cover outputs of a 1024^2 cover are 3 MiB; one whole-cover
-    # float64 temporary alone would be 8 MiB.
+    # float64 temporary alone would be 8 MiB. Eight workers share the 2 MiB
+    # of float buffers one worker would have.
+    monkeypatch.setattr(engine, "_cpus", lambda: 8)
     cover = _cover(1024, 1024, 81)
     frame = build_frame(np.random.default_rng(81).bytes(capacity(1024, 1024) * 93 // 800))
     embed(cover, frame)
@@ -287,9 +320,11 @@ def test_container_embed_allocates_chunk_sized_temporaries():
     assert peak < 16 * 2**20
 
 
-def test_render_allocates_chunk_sized_temporaries():
+def test_render_allocates_chunk_sized_temporaries(monkeypatch):
     # The uint8 render of a 1024^2 container is 1 MiB; one whole-cover
-    # float64 temporary alone would be 8 MiB.
+    # float64 temporary alone would be 8 MiB. Eight workers share the 2 MiB
+    # of float buffers one worker would have.
+    monkeypatch.setattr(engine, "_cpus", lambda: 8)
     container, _ = embed(_cover(1024, 1024, 82), build_frame(b"render in chunks"))
     render(container)
     tracemalloc.start()
