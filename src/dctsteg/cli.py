@@ -66,7 +66,8 @@ def cmd_embed(args):
             f"errors; no artifact written",
         )
     if args.mode == "container":
-        Path(args.out).write_bytes(stego.to_bytes())
+        with open(args.out, "wb") as out:
+            stego.write(out)
     else:
         Path(args.out).write_bytes(write_pgm(stego))
     print(

@@ -7,6 +7,7 @@ per payload block, because rounding pixels to integers perturbs coefficient
 LSBs; residual errors are reported honestly instead of hidden.
 """
 
+import io
 import os
 import struct
 import threading
@@ -58,9 +59,20 @@ class StegoContainer:
         self.height = int(height)
         self.coeffs = coeffs.astype(np.int16, copy=False)  # the wire width, once in range
 
+    def write(self, file):
+        """Write the .dsc to a binary file: the header, then the big-endian
+        coefficients in pieces of _CHUNK_BLOCKS blocks through one buffer."""
+        file.write(_CONTAINER_HEADER.pack(CONTAINER_MAGIC, self.width, self.height))
+        piece = np.empty((min(_CHUNK_BLOCKS, len(self.coeffs)), BLOCK, BLOCK), dtype=">i2")
+        for start in range(0, len(self.coeffs), _CHUNK_BLOCKS):
+            part = piece[: len(self.coeffs) - start]
+            np.copyto(part, self.coeffs[start : start + _CHUNK_BLOCKS])
+            file.write(part)
+
     def to_bytes(self):
-        header = _CONTAINER_HEADER.pack(CONTAINER_MAGIC, self.width, self.height)
-        return header + np.ascontiguousarray(self.coeffs, dtype=">i2").data  # one copy
+        out = io.BytesIO()
+        self.write(out)
+        return out.getvalue()
 
     @classmethod
     def from_bytes(cls, data):
@@ -343,61 +355,88 @@ def _cpus():
         return os.cpu_count() or 1
 
 
-def _chunk_pass(coeffs, pixels, cover=None, bits=None):
-    """Render coefficient blocks into pixels chunk by chunk, computing them first from a cover.
+_ROW = np.dtype((np.void, BLOCK))  # one block's row of 8 pixels, copied as one item
 
-    Chunks are whole block rows. With a cover, each chunk's blocks are cast
-    into a float buffer, forward transformed and quantized into coeffs, and
-    block i < len(bits) takes bits[i] in its LSBs; the chunk is then
-    rendered while its buffer is warm. Every step is per block, so the
-    chunks are split over one thread per CPU, each with its own buffer, and
-    the split changes no value. The buffers share one budget of _CHUNK_BLOCKS
-    blocks, one block row at least, whatever the CPU count: n threads take
-    chunks of 1/n of the budget's rows, and there are never more threads
-    than budget rows or than chunks of the whole budget. A worker's
-    exception is raised once every thread has joined.
+
+def _block_rows(pixels):
+    """The (rows/8, width/8, 8) _ROW view of uint8 pixel rows: [r, c, k] is row k of block (r, c).
+
+    A copy through it moves whole block rows between an image and row-major
+    blocks, 8 bytes an item where block_grid moves one pixel.
     """
-    height, width = pixels.shape
+    return pixels.view(_ROW).reshape(-1, BLOCK, pixels.shape[1] // BLOCK).transpose(0, 2, 1)
+
+
+def _chunk_pass(coeffs, pixels=None, cover=None, bits=None):
+    """Render coefficient blocks chunk by chunk, computing them first from a cover.
+
+    Chunks are whole block rows. With a cover, each chunk's pixels are
+    copied into a uint8 scratch of row-major blocks, cast into a float
+    buffer, forward transformed and quantized into coeffs, and block
+    i < len(bits) takes bits[i] in its LSBs; the chunk is then rendered
+    while its buffer is warm. The render goes through the scratch into
+    pixels or, with no pixels (a container embed), is compared with the
+    cover blocks still in the scratch: the call then returns the exact
+    squared pixel error, summed over the chunks. Every step is per block,
+    so the chunks are split over one thread per CPU, each with its own
+    buffers, and the split changes no value. The float buffers share one
+    budget of _CHUNK_BLOCKS blocks, one block row at least, whatever the
+    CPU count: n threads take chunks of 1/n of the budget's rows, and there
+    are never more threads than budget rows or than chunks of the whole
+    budget. A worker's exception is raised once every thread has joined.
+    """
+    height, width = (cover if pixels is None else pixels).shape
     across = width // BLOCK
     budget = max(1, _CHUNK_BLOCKS // across)  # block rows of all the buffers
     workers = min(_cpus(), budget, -(-height // (BLOCK * budget)))
     rows = BLOCK * (budget // workers)
     starts = range(0, height, rows)
-    shape = (2, min(rows, height) // BLOCK * across, BLOCK, BLOCK)
-    buffers = [np.empty(shape) for _ in range(workers)]
-    errors = []
+    size = min(rows, height) // BLOCK * across
+    errors, totals = [], [0] * workers
 
-    def work(share, buffer):
+    def work(k):
         try:
-            for y in share:
-                band = blockdct.block_grid(pixels[y : y + rows])
+            buffer = np.empty((2, size, BLOCK, BLOCK))
+            scratch = np.empty((size, BLOCK, BLOCK), dtype=np.uint8)
+            for y in starts[k::workers]:
+                band = slice(y, y + rows)
                 first = y // BLOCK * across
-                real = buffer[:, : band.shape[0] * across]
-                chunk = coeffs[first : first + real.shape[1]]
+                count = min(rows, height - y) // BLOCK * across
+                real, blocks = buffer[:, :count], scratch[:count]
+                chunk = coeffs[first : first + count]
+                grid = blocks.view(_ROW).reshape(-1, across, BLOCK)
                 if cover is not None:
-                    np.copyto(real[1].reshape(band.shape), blockdct.block_grid(cover[y : y + rows]))
+                    np.copyto(grid, _block_rows(cover[band]))
+                    np.copyto(real[1], blocks)
                     dct = blockdct.forward_dct(real[1], out=real)
                     chunk[...] = blockdct.quantize(dct, out=real[0])
                     marked = chunk[: max(0, len(bits) - first)]
                     marked[...] = set_lsb(marked, bits[first : first + len(marked)])
                 real[1] = chunk
-                samples = blockdct.inverse_dct(real[1], out=real)
-                band[...] = _to_pixels(samples, out=samples).reshape(band.shape)
+                samples = _to_pixels(blockdct.inverse_dct(real[1], out=real), out=real[1])
+                if pixels is None:
+                    diff = np.subtract(samples, blocks, out=samples).reshape(-1)
+                    # every partial sum is an integer below 2**53, so float64 adds it exactly
+                    totals[k] += int(np.einsum("i,i->", diff, diff))
+                else:
+                    np.copyto(blocks, samples, casting="unsafe")
+                    np.copyto(_block_rows(pixels[band]), grid)
         except BaseException as exc:  # raised by the calling thread after the join
             errors.append(exc)
 
     started = []
     try:
         for k in range(1, workers):
-            thread = threading.Thread(target=work, args=(starts[k::workers], buffers[k]))
+            thread = threading.Thread(target=work, args=(k,))
             thread.start()
             started.append(thread)
-        work(starts[::workers], buffers[0])
+        work(0)
     finally:
         for thread in started:
             thread.join()
     if errors:
         raise errors[0]
+    return sum(totals)
 
 
 def embed(cover, frame, mode="container"):
@@ -406,7 +445,9 @@ def embed(cover, frame, mode="container"):
     Bit group i of the frame lands in the LSBs of coefficient block i; blocks
     past the frame keep their plain quantized coefficients. Returns
     (StegoContainer, report) in container mode or (Image8, report) in
-    spatial8 mode. One _chunk_pass computes the coefficients and renders them.
+    spatial8 mode. One _chunk_pass computes the coefficients and renders
+    them: into a spatial8 image, which the search then adjusts and PSNR
+    scores, or, for a container, only as far as its squared error.
     """
     if mode not in ("container", "spatial8"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -419,18 +460,20 @@ def embed(cover, frame, mode="container"):
     bits = frame.bits.bits.reshape(-1, BLOCK, BLOCK)
     used = len(bits)
     coeffs = np.empty((width * height // BLOCK**2, BLOCK, BLOCK), dtype=np.int16)
-    pixels = np.empty((height, width), dtype=np.uint8)
-    _chunk_pass(coeffs, pixels, cover.pixels, bits)
-    stego = Image8(pixels)
+    source = np.ascontiguousarray(cover.pixels)
+    if mode == "container":
+        score = metrics.score(_chunk_pass(coeffs, None, source, bits), width * height)
+        report = EmbedReport(used, frame.header.payload_bit_length, score.psnr_db, 0)
+        return StegoContainer(width, height, coeffs), report
+    stego = Image8(np.empty((height, width), dtype=np.uint8))
+    _chunk_pass(coeffs, stego.pixels, source, bits)
+    ws, grid = _Workspace(), blockdct.block_grid(stego.pixels)
     residual = 0
-    if mode == "spatial8":
-        ws, grid = _Workspace(), blockdct.block_grid(stego.pixels)
-        for i in range(used):
-            grid[divmod(i, width // BLOCK)], errors = verify_adjust_block(coeffs[i], bits[i], ws)
-            residual += errors
+    for i in range(used):
+        grid[divmod(i, width // BLOCK)], errors = verify_adjust_block(coeffs[i], bits[i], ws)
+        residual += errors
     score = metrics.psnr(cover, stego)
-    report = EmbedReport(used, frame.header.payload_bit_length, score.psnr_db, residual)
-    return (StegoContainer(width, height, coeffs) if mode == "container" else stego), report
+    return stego, EmbedReport(used, frame.header.payload_bit_length, score.psnr_db, residual)
 
 
 def render(container):
@@ -462,8 +505,7 @@ def extract(stego):
     header, table, payload = read_frame(stego)
     secret = huffman.decode(payload, table, header.symbol_count)
     # decode stops after symbol_count codewords; a valid frame's payload ends there
-    counts = np.bincount(np.frombuffer(secret, dtype=np.uint8), minlength=256)
-    used = int(counts @ table.code_lengths)
+    used = int(huffman.byte_counts(secret) @ table.code_lengths)
     if used != header.payload_bit_length:
         raise PayloadLengthMismatch(
             f"decoded {header.symbol_count} symbols from {used} of "

@@ -18,19 +18,32 @@ class QualityScore:
     psnr_db: float
 
 
-def mse(f, g):
-    """Mean squared pixel difference, sum((f-g)^2) / (width * height), summed in int64."""
+def squared_error(f, g):
+    """sum((f-g)^2) over every pixel, exact in int64."""
     if (f.width, f.height) != (g.width, g.height):
         raise DimensionMismatch(
             f"{f.width}x{f.height} vs {g.width}x{g.height}"
         )
     diff = np.subtract(f.pixels, g.pixels, dtype=np.int16).reshape(-1)
-    return float(np.einsum("i,i->", diff, diff, dtype=np.int64) / diff.size)
+    return int(np.einsum("i,i->", diff, diff, dtype=np.int64))
 
 
-def psnr(f, g):
-    """10 log10(255^2 / MSE) in dB, +inf sentinel for identical images."""
-    value = mse(f, g)
+def mse(f, g):
+    """Mean squared pixel difference, squared_error / (width * height)."""
+    return squared_error(f, g) / (f.width * f.height)
+
+
+def score(total, pixels):
+    """QualityScore of an exact squared pixel error total over pixels pixels.
+
+    The one PSNR rule: 10 log10(255^2 / MSE) in dB, +inf for a zero error.
+    """
+    value = total / pixels
     if value == 0.0:
         return QualityScore(0.0, math.inf)
     return QualityScore(value, 10.0 * math.log10(PEAK * PEAK / value))
+
+
+def psnr(f, g):
+    """score of f against g; +inf sentinel for identical images."""
+    return score(squared_error(f, g), f.width * f.height)

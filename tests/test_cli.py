@@ -49,6 +49,25 @@ def parse_kv(line):
     return dict(pair.split("=", 1) for pair in line.split())
 
 
+def test_dsc_streamed_in_pieces_equals_to_bytes(capsys, tmp_path):
+    # 520x512 is 4,160 blocks: two whole 2,048-block pieces and a last one of 64
+    cover = Image8(natural_cover(520, 512, 520 + 512))
+    secret = np.random.default_rng(520).bytes(20000)
+    container, _ = embed(cover, build_frame(secret))
+    blob = container.to_bytes()
+    written = tmp_path / "written.dsc"
+    with open(written, "wb") as out:
+        container.write(out)
+    assert written.read_bytes() == blob
+    assert StegoContainer.from_bytes(written.read_bytes()) == container
+    (tmp_path / "cover.pgm").write_bytes(write_pgm(cover))
+    (tmp_path / "secret.bin").write_bytes(secret)
+    code, _, _ = run_cli(capsys, "embed", "--cover", tmp_path / "cover.pgm",
+                         "--secret", tmp_path / "secret.bin", "--out", tmp_path / "cli.dsc")
+    assert code == 0
+    assert (tmp_path / "cli.dsc").read_bytes() == blob
+
+
 def test_capacity_exact_output(capsys, big_cover_path):
     code, out, _ = run_cli(capsys, "capacity", "--cover", big_cover_path)
     assert code == 0

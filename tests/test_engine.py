@@ -116,6 +116,7 @@ def test_zero_frame_into_constant_cover():
     assert report.blocks_used == 2
     assert not get_lsb(container.coeffs[:2]).any()
     assert container.coeffs[0][0, 0] == 1024  # DC of a 128 block, already even
+    assert report.psnr_db == math.inf  # the render is the cover: a zero error sum
 
 
 def test_embed_rejects_oversized_frame():
@@ -205,14 +206,18 @@ _WORKER_COUNTS = (1, 3)
 
 
 @pytest.mark.parametrize(
-    "width, height", [(128, 128), (512, 512), (520, 512)],
-    ids=["under one chunk", "two whole chunks", "last chunk partial"],
+    "width, height", [(128, 128), (512, 512), (520, 512), (64, 64)],
+    ids=["under one chunk", "two whole chunks", "last chunk partial", "binary cover that clips"],
 )
 def test_chunked_container_embed_equals_the_whole_cover_reference(monkeypatch, width, height):
     chunk, total = _chunk_and_total(width, height)
     # blocks in the last chunk
-    assert total % chunk == {(128, 128): 256, (512, 512): 0, (520, 512): 130}[width, height]
-    cover = _cover(width, height, width + height)
+    assert total % chunk == {
+        (128, 128): 256, (512, 512): 0, (520, 512): 130, (64, 64): 64}[width, height]
+    if width == 64:  # 0/255 pixels: the render overshoots both ends and the clamps decide it
+        cover = Image8(np.random.default_rng(64).integers(0, 2, (64, 64), dtype=np.uint8) * 255)
+    else:
+        cover = _cover(width, height, width + height)
     ends = {0, 1, total // 2, chunk // 2 + 3, total - 1, total}
     for workers in _WORKER_COUNTS:
         split = _chunk_and_total(width, height, workers)[0]

@@ -10,6 +10,7 @@ from dctsteg.huffman import (
     STRIDE,
     Bitstream,
     build_table,
+    byte_counts,
     decode,
     encode,
     parse_table,
@@ -108,6 +109,30 @@ def test_encode_unknown_symbol():
     table = build_table(b"ab")
     with pytest.raises(SymbolNotInTable):
         encode(b"abq", table)
+
+
+def test_encode_names_the_smallest_absent_symbol():
+    table = build_table(b"ab")
+    with pytest.raises(SymbolNotInTable, match="symbol 0x10 has no codeword"):
+        encode(b"a\xf0\x10b", table)
+
+
+# lengths on either side of each of the first slice edges
+_SLICE_EDGES = sorted({max(0, k * DOUBLING_BLOCK + d) for k in range(4) for d in (-1, 0, 1)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=300),
+    st.builds(lambda n, seed: np.random.default_rng(seed).bytes(n),
+              st.sampled_from(_SLICE_EDGES), st.integers(0, 2**32 - 1)),
+    st.builds(lambda n, b: bytes([b]) * n, st.sampled_from(_SLICE_EDGES), st.integers(0, 255)),
+))
+def test_byte_counts_equal_bincount(data):
+    want = np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256)
+    got = byte_counts(data)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 def test_decode_invalid_code():
