@@ -45,6 +45,8 @@ class StegoContainer:
 
     def __init__(self, width, height, coeffs):
         blockdct.check_aligned(width, height)
+        if width == 0 or height == 0:
+            raise ValueError(f"zero dimension {width}x{height}")
         if max(width, height) > 0xFFFF:
             raise DimensionMismatch(f"{width}x{height} does not fit the u16 dims of a .dsc")
         coeffs = np.asarray(coeffs)
@@ -53,7 +55,7 @@ class StegoContainer:
             raise ValueError(
                 f"expected {expected} coefficient blocks, got shape {coeffs.shape}"
             )
-        if coeffs.size and (coeffs.min() < COEFF_MIN or coeffs.max() > COEFF_MAX):
+        if coeffs.min() < COEFF_MIN or coeffs.max() > COEFF_MAX:
             raise ValueError(f"coefficients must lie in [{COEFF_MIN}, {COEFF_MAX}]")
         self.width = int(width)
         self.height = int(height)
@@ -103,9 +105,6 @@ class StegoContainer:
             and self.height == other.height
             and bool(np.array_equal(self.coeffs, other.coeffs))
         )
-
-    def __repr__(self):
-        return f"StegoContainer({self.width}x{self.height}, {len(self.coeffs)} blocks)"
 
 
 @dataclass(frozen=True)
@@ -504,7 +503,7 @@ def extract(stego):
     """Recover (secret bytes, header) from a container or an 8-bit stego image."""
     header, table, payload = read_frame(stego)
     secret = huffman.decode(payload, table, header.symbol_count)
-    # decode stops after symbol_count codewords; a valid frame's payload ends there
+    # decode stops after symbol_count codes; a valid frame's payload ends there
     used = int(huffman.byte_counts(secret) @ table.code_lengths)
     if used != header.payload_bit_length:
         raise PayloadLengthMismatch(

@@ -1,11 +1,10 @@
 """Canonical Huffman coding over byte symbols, and the Bitstream carrier.
 
-Codes are defined entirely by their lengths: codewords are assigned in
+Codes are defined entirely by their lengths: they are assigned in
 (length, symbol) order, so a 256-entry length array is the whole table.
 """
 
 import bisect
-import functools
 import heapq
 
 import numpy as np
@@ -21,7 +20,7 @@ from .errors import (
 
 TABLE_BITS = 2048  # 256 symbols x 8-bit code length
 LOOKUP_BITS = 16  # decode finds codes up to this long in one lookup table
-STRIDE_LOG = 4  # decode steps over 2**STRIDE_LOG short codewords at a time
+STRIDE_LOG = 4  # decode steps over 2**STRIDE_LOG short codes at a time
 STRIDE = 1 << STRIDE_LOG
 DOUBLING_BLOCK = 1 << 15  # offsets composed per gather, bounding the temporary
 
@@ -44,7 +43,7 @@ class HuffmanTable:
 
     code_lengths[s] == 0 means symbol s has no codeword. Codewords go to the
     symbols in (length, symbol) order; symbols lists that order. For each
-    length l up to max_length, count[l] codewords have length l, the first
+    length l up to max_length, count[l] codes have length l, the first
     of them is first_code[l], and it belongs to symbols[first_index[l]].
     Codes are Python ints because a parsed table may carry 255-bit codes.
     """
@@ -67,28 +66,10 @@ class HuffmanTable:
             self.first_code[l] = (self.first_code[l - 1] + self.count[l - 1]) << 1
             self.first_index[l] = self.first_index[l - 1] + self.count[l - 1]
 
-    @functools.cached_property
-    def codewords(self):
-        """symbol -> (code value, length), built on first use."""
-        codewords = {}
-        for idx, symbol in enumerate(self.symbols):
-            l = int(self.code_lengths[symbol])
-            codewords[symbol] = (self.first_code[l] + idx - self.first_index[l], l)
-        return codewords
-
-    def bit_string(self, symbol):
-        """Codeword of symbol as a '0'/'1' string."""
-        code, length = self.codewords[symbol]
-        return format(code, f"0{length}b")
-
     def __eq__(self, other):
         if not isinstance(other, HuffmanTable):
             return NotImplemented
         return bool(np.all(self.code_lengths == other.code_lengths))
-
-    def __repr__(self):
-        present = int(np.count_nonzero(self.code_lengths))
-        return f"HuffmanTable({present} symbols, max length {self.max_length})"
 
 
 def byte_counts(data):
@@ -134,7 +115,7 @@ def build_table(data):
 
 
 def encode(data, table):
-    """Concatenate canonical codewords for data in input order.
+    """Concatenate the canonical codes of data's bytes in input order.
 
     Under a complete fixed-length code (see decode) the codeword of a
     symbol is its rank in table.symbols, so one unpackbits of the ranks,
@@ -151,8 +132,9 @@ def encode(data, table):
         words = np.unpackbits(np.frombuffer(data.translate(rank.tobytes()), dtype=np.uint8))
         return Bitstream(words.reshape(-1, 8)[:, 8 - m:])
     strings = [None] * 256
-    for s in table.symbols:
-        strings[s] = table.bit_string(s)
+    for i, s in enumerate(table.symbols):
+        l = int(table.code_lengths[s])
+        strings[s] = format(table.first_code[l] + i - table.first_index[l], f"0{l}b")
     joined = "".join(map(strings.__getitem__, data))
     return Bitstream(np.frombuffer(joined.encode("ascii"), np.uint8) - ord("0"))
 
@@ -162,7 +144,7 @@ def decode(bits, table, symbol_count):
 
     numpy finds the length of every codeword up to LOOKUP_BITS long that
     starts at a bit offset, and composes those steps STRIDE_LOG times with
-    itself into the offset STRIDE such short codewords on. A Python loop
+    itself into the offset STRIDE such short codes on. A Python loop
     then jumps a stride at a time while one is whole and fits in
     symbol_count, and otherwise steps one codeword, reading a longer
     codeword as one int where it meets one. numpy marks the codeword starts
@@ -172,7 +154,7 @@ def decode(bits, table, symbol_count):
     A complete fixed-length code, where every max_length-bit word is a
     codeword (Kraft then leaves no other length, so max_length <= 8), skips
     the walk: the codeword of symbols[v] is v, so one packbits of the
-    codewords, each right-aligned in a byte, and one gather through
+    codes, each right-aligned in a byte, and one gather through
     symbols decode the stream.
     """
     if symbol_count == 0:
@@ -197,7 +179,7 @@ def decode(bits, table, symbol_count):
     base = [i - f for i, f in zip(table.first_index, table.first_code)]
     width = min(m, LOOKUP_BITS)
     length, index = _codeword_lengths(bits, lefts, width)
-    # far[p] is the offset STRIDE short codewords after p, or the first offset
+    # far[p] is the offset STRIDE short codes after p, or the first offset
     # on the way with no short codeword (long, invalid or cut off), which maps
     # to itself; so a stride is whole exactly when length[far[p]] is nonzero.
     # Each pass composes far with itself in place, a block at a time: a block
@@ -211,7 +193,7 @@ def decode(bits, table, symbol_count):
     jumps = memoryview(far)
     steps = memoryview(length)  # indexing yields cached small ints, copying nothing
     visited = bytearray(bits.bit_length + 1)  # 2 marks a stride head, 1 any other start
-    late = []  # symbols of codewords longer than width, in stream order
+    late = []  # symbols of codes longer than width, in stream order
     last = symbol_count - STRIDE  # a stride may start at or before symbol last
     p = k = 0
     while k < symbol_count:

@@ -17,8 +17,10 @@ class Image8:
         arr = np.asarray(pixels)
         if arr.ndim != 2:
             raise ValueError("pixels must be a 2-D array")
+        if arr.size == 0:
+            raise ValueError(f"zero-size pixel array of shape {arr.shape}")
         if arr.dtype != np.uint8:
-            if arr.size and (int(arr.min()) < 0 or int(arr.max()) > 255):
+            if int(arr.min()) < 0 or int(arr.max()) > 255:
                 raise ValueError("pixel values must lie in [0, 255]")
             arr = arr.astype(np.uint8)
         self.pixels = arr
@@ -37,9 +39,6 @@ class Image8:
         return self.pixels.shape == other.pixels.shape and bool(
             np.all(self.pixels == other.pixels)
         )
-
-    def __repr__(self):
-        return f"Image8({self.width}x{self.height})"
 
 
 # One or more ASCII whitespace bytes and whole '#' comments (the lookahead

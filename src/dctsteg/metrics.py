@@ -28,11 +28,6 @@ def squared_error(f, g):
     return int(np.einsum("i,i->", diff, diff, dtype=np.int64))
 
 
-def mse(f, g):
-    """Mean squared pixel difference, squared_error / (width * height)."""
-    return squared_error(f, g) / (f.width * f.height)
-
-
 def score(total, pixels):
     """QualityScore of an exact squared pixel error total over pixels pixels.
 

@@ -168,6 +168,13 @@ def test_container_constructor_validation():
         StegoContainer(8, 8, too_big)
 
 
+@pytest.mark.parametrize("width, height", [(0, 8), (8, 0), (0, 0)])
+def test_container_constructor_rejects_zero_dimensions(width, height):
+    # from_bytes rejects such a header, and render would split zero blocks over zero workers
+    with pytest.raises(ValueError, match="zero dimension"):
+        StegoContainer(width, height, np.zeros((0, 8, 8), dtype=np.int16))
+
+
 @pytest.mark.parametrize("value", [70000, -40000, 65543, -65539])
 def test_container_constructor_rejects_int64_values_that_wrap_in_int16(value):
     # 65543 and -65539 wrap to 7 and -3 in int16, so the check must precede the narrowing

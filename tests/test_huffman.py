@@ -34,7 +34,12 @@ from support import (
 
 
 def lengths_of(table):
-    return {s: length for s, (_, length) in table.codewords.items()}
+    return {s: int(length) for s, length in enumerate(table.code_lengths) if length}
+
+
+def code_of(table, symbol):
+    """The codeword of symbol as a '0'/'1' string, as encode writes it."""
+    return "".join(map(str, encode(bytes([symbol]), table).bits.tolist()))
 
 
 def test_worked_example_lengths_and_cost():
@@ -51,10 +56,10 @@ def test_worked_example_lengths_and_cost():
 def test_worked_example_canonical_codes():
     table = build_table(b"a" * 5 + b"b" * 2 + b"c" + b"d")
     assert encode(b"ab", table).bits.tolist() == [0, 1, 0]
-    assert table.bit_string(ord("a")) == "0"
-    assert table.bit_string(ord("b")) == "10"
-    assert table.bit_string(ord("c")) == "110"
-    assert table.bit_string(ord("d")) == "111"
+    assert code_of(table, ord("a")) == "0"
+    assert code_of(table, ord("b")) == "10"
+    assert code_of(table, ord("c")) == "110"
+    assert code_of(table, ord("d")) == "111"
 
 
 def test_single_symbol_input():
@@ -69,8 +74,8 @@ def test_two_equal_symbols_get_one_bit_each():
     lens = lengths_of(table)
     assert lens == {ord("x"): 1, ord("y"): 1}
     # canonical order: smaller byte value takes the smaller code
-    assert table.bit_string(ord("x")) == "0"
-    assert table.bit_string(ord("y")) == "1"
+    assert code_of(table, ord("x")) == "0"
+    assert code_of(table, ord("y")) == "1"
 
 
 def test_optimality_against_exhaustive_search():
@@ -81,7 +86,7 @@ def test_optimality_against_exhaustive_search():
         for counts in itertools.combinations_with_replacement(range(1, 6), m):
             data = b"".join(bytes([s]) * c for s, c in enumerate(counts))
             table = build_table(data)
-            cost = sum(counts[s] * length for s, (_, length) in table.codewords.items())
+            cost = sum(counts[s] * length for s, length in lengths_of(table).items())
             assert cost == min_prefix_cost(list(counts)), counts
 
 
@@ -195,13 +200,13 @@ def test_parse_table_accepts_exact_kraft_equality():
     lengths[30] = 3
     lengths[40] = 3  # sums to exactly 1
     table = parse_table(Bitstream(np.unpackbits(lengths)))
-    assert table.bit_string(10) == "0"
-    assert table.bit_string(40) == "111"
+    assert code_of(table, 10) == "0"
+    assert code_of(table, 40) == "111"
 
 
 def test_parse_all_zero_table():
     table = parse_table(Bitstream(np.zeros(2048, dtype=np.uint8)))
-    assert table.codewords == {}
+    assert lengths_of(table) == {}
 
 
 @given(st.binary(min_size=1, max_size=600))
@@ -270,9 +275,11 @@ def test_canonical_tables_match_reference_codes():
     tables.append(parse_table(Bitstream(np.unpackbits(chain.astype(np.uint8)))))
     for table in tables:
         lengths = table.code_lengths.tolist()
-        assert table.codewords == reference_canonical_codes(lengths)
+        reference = reference_canonical_codes(lengths)
+        assert set(reference) == set(table.symbols)
         for index, symbol in enumerate(table.symbols):
-            code, length = table.codewords[symbol]
+            code, length = reference[symbol]
+            assert code_of(table, symbol) == format(code, f"0{length}b")
             assert table.first_index[length] <= index < table.first_index[length] + table.count[length]
             assert code == table.first_code[length] + index - table.first_index[length]
         assert table.count[1:] == [lengths.count(l) for l in range(1, table.max_length + 1)]
@@ -368,7 +375,7 @@ def test_decode_long_codes_first_and_last(long):
     lengths[:long] = np.arange(1, long + 1)
     lengths[long] = long
     table = parse_table(Bitstream(np.unpackbits(lengths)))
-    assert table.bit_string(long - 1).endswith("0")
+    assert code_of(table, long - 1).endswith("0")
     for secret in [bytes([long - 1]), bytes([long, 0, 3, long - 1]), bytes([long - 1, 7, long])]:
         bits = encode(secret, table)
         # the last codeword ends on the last bit
@@ -392,7 +399,7 @@ def test_decode_long_code_inside_and_after_the_first_stride(at):
     lengths[:17] = np.arange(1, 18)
     lengths[17] = 17
     table = parse_table(Bitstream(np.unpackbits(lengths)))
-    assert table.bit_string(17) == "1" * 17
+    assert code_of(table, 17) == "1" * 17
     plain = bytes([0, 1, 2, 3, 0, 0, 1]) * (3 * STRIDE)
     secret = plain[:at] + b"\x11" + plain[at:3 * STRIDE]
     bits = encode(secret, table)

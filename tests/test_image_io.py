@@ -119,6 +119,13 @@ def test_pixel_range_validation():
         Image8(np.zeros(4))  # not 2-D
 
 
+@pytest.mark.parametrize("shape", [(8, 0), (0, 8), (0, 0)])
+def test_zero_size_image_is_rejected(shape):
+    # read_pgm rejects such a header, and psnr would divide by zero pixels
+    with pytest.raises(ValueError, match="zero-size"):
+        Image8(np.zeros(shape, dtype=np.uint8))
+
+
 def test_image_equality_is_type_strict():
     a = Image8(np.zeros((1, 1), dtype=np.uint8))
     assert a.__eq__(a.pixels) is NotImplemented

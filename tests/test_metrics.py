@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from dctsteg import Image8, psnr
-from dctsteg.metrics import mse
 from dctsteg.errors import DimensionMismatch
 
 
@@ -26,8 +25,8 @@ def test_identical_images():
 
 def test_single_extreme_pixel_closed_form():
     a, b = _pair_single_pixel_diff()
-    assert mse(a, b) == 255.0**2 / 262144.0
     score = psnr(a, b)
+    assert score.mse == 255.0**2 / 262144.0
     assert abs(score.psnr_db - 10.0 * math.log10(262144.0)) < 1e-6
     assert abs(score.psnr_db - 54.1854) < 1e-3
 
@@ -46,15 +45,12 @@ def test_symmetry():
     rng = np.random.default_rng(5)
     a = Image8(rng.integers(0, 256, (16, 24)).astype(np.uint8))
     b = Image8(rng.integers(0, 256, (16, 24)).astype(np.uint8))
-    assert mse(a, b) == mse(b, a)
     assert psnr(a, b) == psnr(b, a)
 
 
 def test_dimension_mismatch():
     a = Image8(np.zeros((8, 8), dtype=np.uint8))
     b = Image8(np.zeros((8, 16), dtype=np.uint8))
-    with pytest.raises(DimensionMismatch):
-        mse(a, b)
     with pytest.raises(DimensionMismatch):
         psnr(a, b)
 
@@ -70,7 +66,7 @@ def test_matches_double_loop_oracle():
                 d = float(a[y, x]) - float(b[y, x])
                 total += d * d
         want = total / 64.0
-        got = mse(Image8(a), Image8(b))
+        got = psnr(Image8(a), Image8(b)).mse
         assert abs(got - want) <= 1e-9 * max(want, 1.0)
 
 
@@ -84,7 +80,7 @@ def test_psnr_decreases_with_distortion():
 
 
 def _float_mse(a, b):
-    """The float formula mse replaced: two float64 copies and np.mean."""
+    """The float MSE formula the exact sum replaced: two float64 copies and np.mean."""
     diff = a.astype(np.float64) - b.astype(np.float64)
     return float(np.mean(diff * diff))
 
@@ -96,13 +92,12 @@ def test_exact_sum_equals_the_float_formula_bit_for_bit():
         near = np.clip(a.astype(np.int64) + rng.integers(-3, 4, shape), 0, 255).astype(np.uint8)
         far = rng.integers(0, 256, shape, dtype=np.uint8)
         for b in (near, far):
-            assert mse(Image8(a), Image8(b)) == _float_mse(a, b)
-            assert psnr(Image8(a), Image8(b)).psnr_db == 10.0 * math.log10(
-                255.0**2 / _float_mse(a, b)
-            )
+            score = psnr(Image8(a), Image8(b))
+            assert score.mse == _float_mse(a, b)
+            assert score.psnr_db == 10.0 * math.log10(255.0**2 / _float_mse(a, b))
 
 
 def test_exact_sum_at_the_largest_difference():
     black = np.zeros((2048, 2048), dtype=np.uint8)
     white = np.full((2048, 2048), 255, dtype=np.uint8)
-    assert mse(Image8(black), Image8(white)) == _float_mse(black, white) == 255.0**2
+    assert psnr(Image8(black), Image8(white)).mse == _float_mse(black, white) == 255.0**2
