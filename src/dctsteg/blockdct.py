@@ -98,7 +98,7 @@ def quantize(coeffs, out=None):
 def lsb_parity(blocks, work=None, out=None):
     """Bit 0 of the quantized coefficients of (n, 8, 8) pixel blocks, as bool.
 
-    Bit for bit get_lsb(quantize(forward_dct(blocks))): the same products,
+    Bit for bit quantize(forward_dct(blocks)) & 1: the same products,
     then floor(|c| + 0.5), the magnitude of the half-away rounding (its sum
     c + copysign(0.5, c) is the same float with the sign flipped). An int32
     cast floors that sum, and bit 0 of the integer is the parity, exact for

@@ -50,6 +50,8 @@ class StegoContainer:
         if max(width, height) > 0xFFFF:
             raise DimensionMismatch(f"{width}x{height} does not fit the u16 dims of a .dsc")
         coeffs = np.asarray(coeffs)
+        if coeffs.dtype.kind not in "iu":  # a cast would truncate floats without a word
+            raise ValueError(f"coefficients must be integers, not {coeffs.dtype}")
         expected = (width // BLOCK) * (height // BLOCK)
         if coeffs.shape != (expected, BLOCK, BLOCK):
             raise ValueError(
@@ -120,11 +122,6 @@ class EmbedReport:
 def set_lsb(c, b):
     """Replace two's-complement bit 0 of c with b; works on ints and arrays."""
     return (c & ~1) | b
-
-
-def get_lsb(c):
-    """Two's-complement bit 0 of c."""
-    return c & 1
 
 
 def capacity(width, height):
@@ -366,23 +363,24 @@ def _block_rows(pixels):
     return pixels.view(_ROW).reshape(-1, BLOCK, pixels.shape[1] // BLOCK).transpose(0, 2, 1)
 
 
-def _chunk_pass(coeffs, pixels=None, cover=None, bits=None):
+def _chunk_pass(coeffs, pixels=None, cover=None, frame=None):
     """Render coefficient blocks chunk by chunk, computing them first from a cover.
 
     Chunks are whole block rows. With a cover, each chunk's pixels are
     copied into a uint8 scratch of row-major blocks, cast into a float
     buffer, forward transformed and quantized into coeffs, and block
-    i < len(bits) takes bits[i] in its LSBs; the chunk is then rendered
-    while its buffer is warm. The render goes through the scratch into
-    pixels or, with no pixels (a container embed), is compared with the
-    cover blocks still in the scratch: the call then returns the exact
-    squared pixel error, summed over the chunks. Every step is per block,
-    so the chunks are split over one thread per CPU, each with its own
-    buffers, and the split changes no value. The float buffers share one
-    budget of _CHUNK_BLOCKS blocks, one block row at least, whatever the
-    CPU count: n threads take chunks of 1/n of the budget's rows, and there
-    are never more threads than budget rows or than chunks of the whole
-    budget. A worker's exception is raised once every thread has joined.
+    i < len(frame) takes the bits of its 8 bytes frame[i], unpacked per
+    chunk, in its LSBs; the chunk is then rendered while its buffer is
+    warm. The render goes through the scratch into pixels or, with no
+    pixels (a container embed), is compared with the cover blocks still
+    in the scratch: the call then returns the exact squared pixel error,
+    summed over the chunks. Every step is per block, so the chunks are
+    split over one thread per CPU, each with its own buffers, and the
+    split changes no value. The float buffers share one budget of
+    _CHUNK_BLOCKS blocks, one block row at least, whatever the CPU count:
+    n threads take chunks of 1/n of the budget's rows, and there are never
+    more threads than budget rows or than chunks of the whole budget. A
+    worker's exception is raised once every thread has joined.
     """
     height, width = (cover if pixels is None else pixels).shape
     across = width // BLOCK
@@ -409,8 +407,9 @@ def _chunk_pass(coeffs, pixels=None, cover=None, bits=None):
                     np.copyto(real[1], blocks)
                     dct = blockdct.forward_dct(real[1], out=real)
                     chunk[...] = blockdct.quantize(dct, out=real[0])
-                    marked = chunk[: max(0, len(bits) - first)]
-                    marked[...] = set_lsb(marked, bits[first : first + len(marked)])
+                    marked = chunk[: max(0, len(frame) - first)]
+                    bits = np.unpackbits(frame[first : first + len(marked)])
+                    marked[...] = set_lsb(marked, bits.reshape(-1, BLOCK, BLOCK))
                 real[1] = chunk
                 samples = _to_pixels(blockdct.inverse_dct(real[1], out=real), out=real[1])
                 if pixels is None:
@@ -456,20 +455,21 @@ def embed(cover, frame, mode="container"):
         raise PayloadTooLarge(
             f"frame of {frame.bit_length} bits exceeds {width * height} coefficient slots"
         )
-    bits = frame.bits.bits.reshape(-1, BLOCK, BLOCK)
-    used = len(bits)
+    packed = np.frombuffer(frame.data, dtype=np.uint8).reshape(-1, BLOCK)  # a row per block
+    used = len(packed)
     coeffs = np.empty((width * height // BLOCK**2, BLOCK, BLOCK), dtype=np.int16)
     source = np.ascontiguousarray(cover.pixels)
     if mode == "container":
-        score = metrics.score(_chunk_pass(coeffs, None, source, bits), width * height)
+        score = metrics.score(_chunk_pass(coeffs, None, source, packed), width * height)
         report = EmbedReport(used, frame.header.payload_bit_length, score.psnr_db, 0)
         return StegoContainer(width, height, coeffs), report
     stego = Image8(np.empty((height, width), dtype=np.uint8))
-    _chunk_pass(coeffs, stego.pixels, source, bits)
+    _chunk_pass(coeffs, stego.pixels, source, packed)
     ws, grid = _Workspace(), blockdct.block_grid(stego.pixels)
     residual = 0
-    for i in range(used):
-        grid[divmod(i, width // BLOCK)], errors = verify_adjust_block(coeffs[i], bits[i], ws)
+    for i, row in enumerate(packed):
+        bits = np.unpackbits(row)
+        grid[divmod(i, width // BLOCK)], errors = verify_adjust_block(coeffs[i], bits, ws)
         residual += errors
     score = metrics.psnr(cover, stego)
     return stego, EmbedReport(used, frame.header.payload_bit_length, score.psnr_db, residual)
@@ -493,10 +493,11 @@ def read_frame(stego):
     Returns (header, table, payload bits).
     """
     if isinstance(stego, StegoContainer):
-        lsbs = get_lsb(stego.coeffs.astype(np.uint8))  # bit 0 survives the mod-256 wrap
+        # bit 0 survives the mod-256 wrap
+        lsbs = np.bitwise_and(stego.coeffs, 1, dtype=np.uint8, casting="unsafe")
     else:
-        lsbs = blockdct.lsb_parity(blockdct.partition(stego)).view(np.uint8)
-    return framing.parse_frame(huffman.Bitstream(lsbs.reshape(-1)))
+        lsbs = blockdct.lsb_parity(blockdct.partition(stego))
+    return framing.parse_frame(np.packbits(lsbs).tobytes())
 
 
 def extract(stego):

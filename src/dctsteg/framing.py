@@ -15,8 +15,6 @@ Each 64-bit group of the padded frame lands in one coefficient block.
 import struct
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import huffman
 from .errors import (
     BadHeader,
@@ -26,7 +24,6 @@ from .errors import (
     TruncatedFrame,
     UnsupportedVersion,
 )
-from .huffman import Bitstream
 
 FRAME_MAGIC = 0x5347
 FRAME_VERSION = 1
@@ -35,6 +32,7 @@ KIND_IMAGE = 1
 HEADER_BITS = 128
 TABLE_BITS = huffman.TABLE_BITS
 GROUP_BITS = 64
+_TABLE_END = (HEADER_BITS + TABLE_BITS) // 8  # the payload's first byte
 
 _HEADER_STRUCT = struct.Struct(">HBBHHII")
 
@@ -63,12 +61,12 @@ class PayloadHeader:
         )
 
     @classmethod
-    def parse(cls, bits):
-        if bits.bit_length < HEADER_BITS:
+    def parse(cls, data):
+        if 8 * len(data) < HEADER_BITS:
             raise TruncatedFrame(
-                f"header needs {HEADER_BITS} bits, have {bits.bit_length}"
+                f"header needs {HEADER_BITS} bits, have {8 * len(data)}"
             )
-        fields = _HEADER_STRUCT.unpack(np.packbits(bits.bits[:HEADER_BITS]).tobytes())
+        fields = _HEADER_STRUCT.unpack_from(data)
         magic, version, kind, width, height, symbol_count, payload_bits = fields
         if magic != FRAME_MAGIC:
             raise BadMagic(f"frame magic 0x{magic:04x} != 0x{FRAME_MAGIC:04x}")
@@ -87,14 +85,14 @@ class PayloadHeader:
 
 @dataclass(frozen=True)
 class PayloadFrame:
-    """The complete padded frame plus its parsed-out header."""
+    """The complete padded frame, MSB-first bytes, plus its parsed-out header."""
 
-    bits: Bitstream
+    data: bytes
     header: PayloadHeader
 
     @property
     def bit_length(self):
-        return self.bits.bit_length
+        return 8 * len(self.data)
 
 
 def build_frame(secret, kind=KIND_BYTES, dims=None):
@@ -122,28 +120,24 @@ def build_frame(secret, kind=KIND_BYTES, dims=None):
     table = huffman.build_table(secret)
     payload = huffman.encode(secret, table)
     header = PayloadHeader(kind, width, height, len(secret), payload.bit_length)
-    # header + table is 2176 bits, 34 whole groups, so only the payload needs padding
-    bits = np.concatenate([
-        np.unpackbits(np.frombuffer(header.to_bytes(), dtype=np.uint8)),
-        huffman.serialize_table(table).bits,
-        payload.bits,
-        np.zeros((-payload.bit_length) % GROUP_BITS, dtype=np.uint8),
-    ])
-    return PayloadFrame(Bitstream(bits), header)
+    # header + table is 2176 bits, 34 whole groups, so only the payload needs
+    # padding; encode leaves the bits after its last one zero
+    data = header.to_bytes() + huffman.serialize_table(table) + payload.data
+    return PayloadFrame(data + bytes(-len(data) % (GROUP_BITS // 8)), header)
 
 
-def parse_frame(bits):
-    """Split a bitstream into (header, table, payload bits); padding is ignored."""
-    header = PayloadHeader.parse(bits)
-    table_end = HEADER_BITS + TABLE_BITS
-    if bits.bit_length < table_end:
+def parse_frame(data):
+    """Split frame bytes into (header, table, payload Bitstream); padding is ignored."""
+    header = PayloadHeader.parse(data)
+    if len(data) < _TABLE_END:
         raise TruncatedFrame(
-            f"table needs {table_end} bits, have {bits.bit_length}"
+            f"table needs {8 * _TABLE_END} bits, have {8 * len(data)}"
         )
-    table = huffman.parse_table(Bitstream(bits.bits[HEADER_BITS:table_end]))
-    payload_end = table_end + header.payload_bit_length
-    if bits.bit_length < payload_end:
+    table = huffman.parse_table(data[HEADER_BITS // 8:_TABLE_END])
+    payload_end = 8 * _TABLE_END + header.payload_bit_length
+    if 8 * len(data) < payload_end:
         raise TruncatedFrame(
             f"payload promises {header.payload_bit_length} bits, frame is short"
         )
-    return header, table, Bitstream(bits.bits[table_end:payload_end])
+    payload = data[_TABLE_END:(payload_end + 7) // 8]
+    return header, table, huffman.Bitstream(payload, header.payload_bit_length)

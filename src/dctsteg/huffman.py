@@ -6,6 +6,7 @@ Codes are defined entirely by their lengths: they are assigned in
 
 import bisect
 import heapq
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,17 +26,12 @@ STRIDE = 1 << STRIDE_LOG
 DOUBLING_BLOCK = 1 << 15  # offsets composed per gather, bounding the temporary
 
 
+@dataclass(frozen=True)
 class Bitstream:
-    """Ordered bit sequence, one uint8 0/1 per bit."""
+    """Huffman payload: the first bit_length bits of MSB-first data; decode ignores the rest."""
 
-    __slots__ = ("bits",)
-
-    def __init__(self, bits=()):
-        self.bits = np.asarray(bits, dtype=np.uint8).reshape(-1)
-
-    @property
-    def bit_length(self):
-        return int(self.bits.size)
+    data: bytes
+    bit_length: int
 
 
 class HuffmanTable:
@@ -118,8 +114,8 @@ def encode(data, table):
     """Concatenate the canonical codes of data's bytes in input order.
 
     Under a complete fixed-length code (see decode) the codeword of a
-    symbol is its rank in table.symbols, so one unpackbits of the ranks,
-    keeping the last max_length bits of each byte, is the stream.
+    symbol is its rank in table.symbols, so the translated ranks, each cut
+    to its last max_length bits for a shorter code, are the stream.
     """
     data = bytes(data)
     missing = data.translate(None, bytes(table.symbols))
@@ -129,14 +125,18 @@ def encode(data, table):
     if table.count[m] == 1 << m:
         rank = np.zeros(256, dtype=np.uint8)
         rank[table.symbols] = np.arange(1 << m)
-        words = np.unpackbits(np.frombuffer(data.translate(rank.tobytes()), dtype=np.uint8))
-        return Bitstream(words.reshape(-1, 8)[:, 8 - m:])
+        ranks = data.translate(rank.tobytes())
+        if m < 8:
+            words = np.unpackbits(np.frombuffer(ranks, dtype=np.uint8)).reshape(-1, 8)[:, 8 - m:]
+            ranks = np.packbits(words).tobytes()
+        return Bitstream(ranks, m * len(data))
     strings = [None] * 256
     for i, s in enumerate(table.symbols):
         l = int(table.code_lengths[s])
         strings[s] = format(table.first_code[l] + i - table.first_index[l], f"0{l}b")
     joined = "".join(map(strings.__getitem__, data))
-    return Bitstream(np.frombuffer(joined.encode("ascii"), np.uint8) - ord("0"))
+    bits = np.frombuffer(joined.encode("ascii"), np.uint8) - ord("0")
+    return Bitstream(np.packbits(bits).tobytes(), len(joined))
 
 
 def decode(bits, table, symbol_count):
@@ -153,9 +153,9 @@ def decode(bits, table, symbol_count):
 
     A complete fixed-length code, where every max_length-bit word is a
     codeword (Kraft then leaves no other length, so max_length <= 8), skips
-    the walk: the codeword of symbols[v] is v, so one packbits of the
-    codes, each right-aligned in a byte, and one gather through
-    symbols decode the stream.
+    the walk: the codeword of symbols[v] is v, so one translate through
+    symbols decodes the stream's first symbol_count bytes, or, for a
+    shorter code, the codes repacked one to a byte, right-aligned.
     """
     if symbol_count == 0:
         return b""
@@ -167,10 +167,11 @@ def decode(bits, table, symbol_count):
         if bits.bit_length < symbol_count * m:
             raise TruncatedStream(
                 f"stream ended after {bits.bit_length // m} of {symbol_count} symbols")
-        words = bits.bits[:symbol_count * m].reshape(-1, m)
+        words = bits.data[:symbol_count]
         if m < 8:
-            words = np.pad(words, ((0, 0), (8 - m, 0)))
-        return np.packbits(words).tobytes().translate(bytes(table.symbols).ljust(256, b"\0"))
+            codes = np.unpackbits(np.frombuffer(bits.data, np.uint8), count=symbol_count * m)
+            words = np.packbits(np.pad(codes.reshape(-1, m), ((0, 0), (8 - m, 0)))).tobytes()
+        return words.translate(bytes(table.symbols).ljust(256, b"\0"))
     # Left-justified to m bits, the limits first_code[l] + count[l] rise with l.
     # A prefix that matched no shorter codeword is at least first_code[l], so
     # the codeword at an offset is as long as the first limit above its next m bits.
@@ -206,13 +207,14 @@ def decode(bits, table, symbol_count):
                 continue
         step = steps[p]
         if not step:
-            chunk = bits.bits[p:p + m]
             # the next m bits as one int, zero-filled past the end of the stream
-            packed_chunk = np.packbits(chunk)
-            value = (int.from_bytes(packed_chunk.tobytes(), "big") << m) >> (8 * packed_chunk.size)
+            have = min(m, bits.bit_length - p)
+            end = p + have
+            word = int.from_bytes(bits.data[p >> 3:(end + 7) >> 3], "big") >> (-end & 7)
+            value = (word & ((1 << have) - 1)) << (m - have)
             step = bisect.bisect_right(lefts, value) + 1
-            if step > chunk.size:
-                if chunk.size == m:
+            if step > have:
+                if have == m:
                     raise InvalidCode(f"no codeword matches prefix of length {m}")
                 raise TruncatedStream(f"stream ended after {k} of {symbol_count} symbols")
             late.append(table.symbols[(value >> (m - step)) + base[step]])
@@ -242,7 +244,8 @@ def _codeword_lengths(bits, lefts, width):
     The lengths are uint8 with one entry past the stream, and 0 where the
     codeword is longer than width, matches nothing, or needs bits past the
     end; decode resolves those offsets one by one. The width bits are
-    uint32, zero-filled past the end.
+    uint32, zero-filled past the last byte; only codewords cut off at the
+    end read the bits after n in it.
     """
     n = bits.bit_length
     m = len(lefts)
@@ -252,7 +255,7 @@ def _codeword_lengths(bits, lefts, width):
                                     np.diff(bounds, prepend=0))
     # zero bytes past the end give each offset its full 24-bit word
     groups = n // 8 + 1
-    packed = np.concatenate([np.packbits(bits.bits), np.zeros(3, dtype=np.uint8)])
+    packed = np.frombuffer(bits.data.ljust(groups + 2, b"\0"), dtype=np.uint8)
     # 24 bits from each byte on hold the next width bits at each of its 8 offsets
     word = (packed[:groups].astype(np.uint32) << 16
             | packed[1:groups + 1].astype(np.uint32) << 8 | packed[2:groups + 2])
@@ -268,16 +271,15 @@ def _codeword_lengths(bits, lefts, width):
 
 
 def serialize_table(table):
-    """256 code lengths, each an 8-bit big-endian integer, symbol order 0..255."""
-    lengths = table.code_lengths.astype(np.uint8)
-    return Bitstream(np.unpackbits(lengths))
+    """256 code lengths, one byte each, symbol order 0..255."""
+    return table.code_lengths.astype(np.uint8).tobytes()
 
 
-def parse_table(bits):
+def parse_table(data):
     """Inverse of serialize_table; rejects length sets that overfill the code space."""
-    if bits.bit_length != TABLE_BITS:
-        raise WrongLength(f"expected {TABLE_BITS} bits, got {bits.bit_length}")
-    table = HuffmanTable(np.packbits(bits.bits))
+    if 8 * len(data) != TABLE_BITS:
+        raise WrongLength(f"expected {TABLE_BITS} bits, got {8 * len(data)}")
+    table = HuffmanTable(np.frombuffer(data, dtype=np.uint8))
     # Kraft sum over 2^-len, computed exactly in integers, one term per length
     top = table.max_length
     if sum(c << (top - l) for l, c in enumerate(table.count)) > 1 << top:

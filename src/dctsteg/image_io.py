@@ -19,6 +19,8 @@ class Image8:
             raise ValueError("pixels must be a 2-D array")
         if arr.size == 0:
             raise ValueError(f"zero-size pixel array of shape {arr.shape}")
+        if arr.dtype.kind not in "iu":  # a cast would truncate floats without a word
+            raise ValueError(f"pixels must be integers, not {arr.dtype}")
         if arr.dtype != np.uint8:
             if int(arr.min()) < 0 or int(arr.max()) > 255:
                 raise ValueError("pixel values must lie in [0, 255]")

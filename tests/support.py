@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from dctsteg.errors import InvalidCode, TruncatedStream
+from dctsteg.huffman import Bitstream
 
 
 def _c(k):
@@ -142,6 +143,25 @@ def reference_canonical_codes(lengths):
     return codes
 
 
+def bitstream(bits):
+    """Bitstream of a sequence of 0/1 bits, packed MSB-first."""
+    bits = np.asarray(bits, dtype=np.uint8).reshape(-1)
+    return Bitstream(np.packbits(bits).tobytes(), bits.size)
+
+
+def stream_bits(stream):
+    """The bit_length bits of a Bitstream, one uint8 each."""
+    return np.unpackbits(np.frombuffer(stream.data, dtype=np.uint8), count=stream.bit_length)
+
+
+def with_trailing_ones(stream):
+    """The same stream with every bit after bit_length in its last byte set to 1."""
+    data = bytearray(stream.data)
+    if stream.bit_length % 8:
+        data[stream.bit_length // 8] |= (1 << (-stream.bit_length % 8)) - 1
+    return Bitstream(bytes(data), stream.bit_length)
+
+
 def reference_decode(bits, table, symbol_count):
     """Per-bit canonical decode, the oracle for the library's table-driven decode.
 
@@ -161,7 +181,7 @@ def reference_decode(bits, table, symbol_count):
     out = bytearray()
     code = 0
     length = 0
-    for bit in bits.bits.tolist():
+    for bit in stream_bits(bits).tolist():
         code = (code << 1) | bit
         length += 1
         if code < limit[length]:
@@ -324,6 +344,11 @@ def reference_verify_adjust_block(coeffs, bits):
     return best_pixels.astype(np.uint8), best_residual
 
 
+def frame_bits(frame):
+    """A PayloadFrame's bits, one uint8 each."""
+    return np.unpackbits(np.frombuffer(frame.data, dtype=np.uint8))
+
+
 def reference_embed(cover, frame, mode="container"):
     """Whole-cover embed, the oracle for the library's chunked one.
 
@@ -336,7 +361,7 @@ def reference_embed(cover, frame, mode="container"):
     from dctsteg.blockdct import assemble, forward_dct, inverse_dct, partition, quantize
 
     coeffs = quantize(forward_dct(partition(cover)))
-    bit_blocks = frame.bits.bits.reshape(-1, 8, 8).astype(np.int64)
+    bit_blocks = frame_bits(frame).reshape(-1, 8, 8).astype(np.int64)
     used = len(bit_blocks)
     coeffs[:used] = engine.set_lsb(coeffs[:used], bit_blocks)
     rendered = reference_pixels(inverse_dct(coeffs))

@@ -21,8 +21,8 @@ from dctsteg.errors import (
     BadHeader, DimensionMismatch, InvalidCode, PayloadLengthMismatch, StegError, TruncatedStream,
 )
 from dctsteg.framing import HEADER_BITS, TABLE_BITS, PayloadFrame, PayloadHeader
-from dctsteg.huffman import Bitstream, build_table, decode
-from support import natural_cover
+from dctsteg.huffman import build_table, decode
+from support import bitstream, frame_bits, natural_cover
 
 
 @pytest.fixture
@@ -295,9 +295,8 @@ def test_inspect_non_stego_exit_4(capsys, tmp_path, cover_path):
 
 def _empty_table_container(header, cover_path):
     """Container of a frame with this header, an all-zero code table and no payload."""
-    bits = np.concatenate([np.unpackbits(np.frombuffer(header.to_bytes(), dtype=np.uint8)),
-                           np.zeros(TABLE_BITS, dtype=np.uint8)])
-    container, _ = embed(read_pgm(cover_path.read_bytes()), PayloadFrame(Bitstream(bits), header))
+    frame = PayloadFrame(header.to_bytes() + bytes(TABLE_BITS // 8), header)
+    container, _ = embed(read_pgm(cover_path.read_bytes()), frame)
     return container
 
 
@@ -477,14 +476,14 @@ def test_payload_flip_that_decodes_other_bytes_exit_4(capsys, tmp_path, cover_pa
     table = build_table(secret)
     frame = build_frame(secret)
     start = HEADER_BITS + TABLE_BITS
-    payload = frame.bits.bits[start:start + frame.header.payload_bit_length]
+    payload = frame_bits(frame)[start:start + frame.header.payload_bit_length]
     # the first payload bit whose flip still decodes every symbol, to other
     # bytes that fill fewer bits than the header declares
     for flip in range(payload.size):
         bits = payload.copy()
         bits[flip] ^= 1
         try:
-            other = decode(Bitstream(bits), table, len(secret))
+            other = decode(bitstream(bits), table, len(secret))
         except StegError:
             continue
         if other != secret:

@@ -36,7 +36,7 @@ def test_frame_bits_digests():
         "image": build_frame(low_entropy_secret(12, 10).tobytes(), KIND_IMAGE, (12, 10)),
         "single": build_frame(b"z" * 9),
     }
-    digests = {name: sha256(np.packbits(f.bits.bits).tobytes()) for name, f in frames.items()}
+    digests = {name: sha256(f.data) for name, f in frames.items()}
     assert digests == {
         "random": "a74a79efb1fde80e6f8304041ef4271ffe69206eb470df2cc1145728bd3ed4be",
         "image": "706571e9a584e293021e46bbc77bcd21322f63593a35543cbe16aad9ddeca4c9",

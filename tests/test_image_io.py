@@ -126,6 +126,13 @@ def test_zero_size_image_is_rejected(shape):
         Image8(np.zeros(shape, dtype=np.uint8))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16, np.complex128, bool, object])
+def test_non_integer_image_is_rejected(dtype):
+    # [[0.5, 254.9]] used to hold [[0, 254]]
+    with pytest.raises(ValueError, match="must be integers"):
+        Image8(np.array([[0.5, 254.9]]).astype(dtype))
+
+
 def test_image_equality_is_type_strict():
     a = Image8(np.zeros((1, 1), dtype=np.uint8))
     assert a.__eq__(a.pixels) is NotImplemented
