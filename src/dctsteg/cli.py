@@ -115,12 +115,11 @@ def cmd_psnr(args):
 
 def cmd_inspect(args):
     header, table, _ = engine.read_frame(_load_stego(args.input))
-    symbols = int(np.count_nonzero(table.code_lengths))
     print(
         f"magic=0x{header.magic:04x} version={header.version} "
         f"secret_kind={header.secret_kind} secret_width={header.secret_width} "
         f"secret_height={header.secret_height} symbol_count={header.symbol_count} "
-        f"payload_bits={header.payload_bit_length} table_symbols={symbols} "
+        f"payload_bits={header.payload_bit_length} table_symbols={len(table.symbols)} "
         f"max_code_length={table.max_length}"
     )
     return 0

@@ -86,8 +86,6 @@ class StegoContainer:
         magic, width, height = _CONTAINER_HEADER.unpack_from(data)
         if magic != CONTAINER_MAGIC:
             raise BadMagic(f"container magic 0x{magic:08x} != 0x{CONTAINER_MAGIC:08x}")
-        if width == 0 or height == 0:
-            raise BadHeader("container declares zero dimensions")
         blockdct.check_aligned(width, height)
         count = width * height
         offset = _CONTAINER_HEADER.size
@@ -267,10 +265,10 @@ def _rounding_key(samples):
     return (np.rint(samples / _KEY_STEP).astype(np.int64) % round(1 / _KEY_STEP)).tobytes()
 
 
-def verify_adjust_block(coeffs, bits, ws=None):
-    """Render one payload block to 8-bit pixels that reproduce bits on re-DCT.
+def verify_adjust_block(coeffs, ws=None):
+    """Render one payload block to 8-bit pixels whose re-DCT keeps coeffs' LSBs.
 
-    coeffs must already carry bits in its LSBs. Pixel rounding re-rolls the
+    The LSBs of coeffs are the block's bits. Pixel rounding re-rolls the
     recovered parity of all 64 coefficients at once, so there is no way to
     repair one coefficient in isolation; instead each round renders every
     +-2 nudge pattern (LSBs are preserved by even steps) of 7 slots: the
@@ -282,8 +280,7 @@ def verify_adjust_block(coeffs, bits, ws=None):
     the verified candidate with the fewest offenders (the first in pool
     order among equals) whose _rounding_key no anchor had. At most 16
     rounds; returns (pixels, residual_errors) with failures reported rather
-    than raised. ws is the _Workspace the pools are evaluated in; without
-    one the call makes its own.
+    than raised. ws is the _Workspace the pools are evaluated in.
 
     Candidates are rendered incrementally (see _candidate_pixels). Only the
     render side takes that shortcut: a coefficient near a rounding tie (a DC
@@ -296,7 +293,7 @@ def verify_adjust_block(coeffs, bits, ws=None):
     if ws is None:
         ws = _Workspace()
     cur = np.asarray(coeffs, dtype=np.int64).reshape(BLOCK, BLOCK).copy()
-    bits = np.asarray(bits).reshape(BLOCK, BLOCK).astype(bool)
+    bits = (cur & 1).astype(bool)
     bit_record = bits.reshape(-1).view(_RECORD)
     best_pixels, best_residual = None, BLOCK * BLOCK + 1
     samples = blockdct.inverse_dct(cur)
@@ -467,9 +464,8 @@ def embed(cover, frame, mode="container"):
     _chunk_pass(coeffs, stego.pixels, source, packed)
     ws, grid = _Workspace(), blockdct.block_grid(stego.pixels)
     residual = 0
-    for i, row in enumerate(packed):
-        bits = np.unpackbits(row)
-        grid[divmod(i, width // BLOCK)], errors = verify_adjust_block(coeffs[i], bits, ws)
+    for i in range(used):
+        grid[divmod(i, width // BLOCK)], errors = verify_adjust_block(coeffs[i], ws)
         residual += errors
     score = metrics.psnr(cover, stego)
     return stego, EmbedReport(used, frame.header.payload_bit_length, score.psnr_db, residual)

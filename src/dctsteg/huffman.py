@@ -142,14 +142,15 @@ def encode(data, table):
 def decode(bits, table, symbol_count):
     """Decode exactly symbol_count symbols from a canonical-code bitstream.
 
-    numpy finds the length of every codeword up to LOOKUP_BITS long that
-    starts at a bit offset, and composes those steps STRIDE_LOG times with
-    itself into the offset STRIDE such short codes on. A Python loop
-    then jumps a stride at a time while one is whole and fits in
-    symbol_count, and otherwise steps one codeword, reading a longer
-    codeword as one int where it meets one. numpy marks the codeword starts
-    inside each stride, and a table indexed by the next width bits maps each
-    short codeword to its symbol.
+    Two window tables, indexed by the next width = min(max_length,
+    LOOKUP_BITS) bits, give the symbol and the length (0 for none) of the
+    short codeword those bits start with. numpy reads the length at every
+    bit offset and composes offset + length STRIDE_LOG times with itself
+    into the offset STRIDE short codes on. A Python loop then jumps a
+    stride at a time while one is whole and fits in symbol_count, and
+    otherwise steps one codeword, reading a longer codeword as one int
+    where it meets one. numpy marks the codeword starts inside each stride
+    and looks their symbols up.
 
     A complete fixed-length code, where every max_length-bit word is a
     codeword (Kraft then leaves no other length, so max_length <= 8), skips
@@ -179,7 +180,14 @@ def decode(bits, table, symbol_count):
              for l, (f, c) in enumerate(zip(table.first_code, table.count))][1:]
     base = [i - f for i, f in zip(table.first_index, table.first_code)]
     width = min(m, LOOKUP_BITS)
-    length, index = _codeword_lengths(bits, lefts, width)
+    # in canonical order, short symbol s covers 2**(width - length) windows
+    short = np.array(table.symbols[:table.first_index[width] + table.count[width]], dtype=np.uint8)
+    covered = np.repeat(short, 1 << (width - table.code_lengths[short]))
+    symbol_at = np.zeros(1 << width, dtype=np.uint8)
+    length_at = np.zeros(1 << width, dtype=np.uint8)
+    symbol_at[:covered.size] = covered
+    length_at[:covered.size] = table.code_lengths[covered]
+    length, index = _codeword_lengths(bits, length_at, width)
     # far[p] is the offset STRIDE short codes after p, or the first offset
     # on the way with no short codeword (long, invalid or cut off), which maps
     # to itself; so a stride is whole exactly when length[far[p]] is nonzero.
@@ -226,33 +234,21 @@ def decode(bits, table, symbol_count):
     for _ in range(STRIDE - 1):  # the other starts of each stride, one codeword on at a time
         at += length[at]
         marks[at] = 1
-    # the next width bits name the short codeword they start with: symbol s
-    # covers 2**(width - length) of them, in canonical order
-    short = np.array(table.symbols[:table.first_index[width] + table.count[width]], dtype=np.uint8)
-    covered = np.repeat(short, 1 << (width - table.code_lengths[short]))
-    symbol_at = np.zeros(1 << width, dtype=np.uint8)
-    symbol_at[:covered.size] = covered
     starts = np.flatnonzero(marks)
     out = symbol_at[index[starts]]
     out[length[starts] == 0] = late
     return out.tobytes()
 
 
-def _codeword_lengths(bits, lefts, width):
+def _codeword_lengths(bits, length_at, width):
     """Codeword length and the next width bits at every bit offset of bits.
 
-    The lengths are uint8 with one entry past the stream, and 0 where the
-    codeword is longer than width, matches nothing, or needs bits past the
-    end; decode resolves those offsets one by one. The width bits are
-    uint32, zero-filled past the last byte; only codewords cut off at the
-    end read the bits after n in it.
+    The lengths have one entry past the stream, and are 0 where the codeword
+    is longer than width, matches nothing, or needs bits past the end;
+    decode resolves those offsets one by one. The width bits are zero-filled
+    past the last byte; only codewords cut off at the end read bits after n.
     """
     n = bits.bit_length
-    m = len(lefts)
-    bounds = [x << width >> m for x in lefts[:width]]
-    lookup = np.zeros(1 << width, dtype=np.uint8)
-    lookup[:bounds[-1]] = np.repeat(np.arange(1, width + 1, dtype=np.uint8),
-                                    np.diff(bounds, prepend=0))
     # zero bytes past the end give each offset its full 24-bit word
     groups = n // 8 + 1
     packed = np.frombuffer(bits.data.ljust(groups + 2, b"\0"), dtype=np.uint8)
@@ -262,7 +258,7 @@ def _codeword_lengths(bits, lefts, width):
     index = word[:, None] >> np.arange(24 - width, 16 - width, -1, dtype=np.uint32)
     index &= (1 << width) - 1
     index = index.reshape(-1)[:n + 1]
-    length = lookup[index]
+    length = length_at[index]
     length[n] = 0
     # a codeword that only the zero fill past the end would complete is cut off
     tail = length[max(n - width, 0):n]

@@ -242,6 +242,14 @@ def low_entropy_secret(width=192, height=195):
     return img.astype(np.uint8)
 
 
+def fibonacci_secret(n):
+    """Symbol i repeated F(i + 1) times for i < n: its Huffman code is 1..n-1 bits long."""
+    counts = [1, 1]
+    while len(counts) < n:
+        counts.append(counts[-1] + counts[-2])
+    return b"".join(bytes([i]) * c for i, c in enumerate(counts[:n]))
+
+
 def shannon_entropy(data):
     """Bits per symbol of the byte distribution of data."""
     counts = np.bincount(np.frombuffer(bytes(data), dtype=np.uint8), minlength=256)
@@ -280,14 +288,15 @@ def _reference_patterns(n, cap=2048):
     return values[order][:cap]
 
 
-def reference_verify_adjust_block(coeffs, bits):
+def reference_verify_adjust_block(coeffs):
     """Full-render verify/adjust search, the oracle for the library's search.
 
-    A transcription of the search rule. Each round nudges 7 slots: the
-    offenders in raster order, then the non-offenders whose rendered
-    coefficient lies furthest from cur. It renders the whole capped pool of
-    +-2 nudges through the full inverse DCT, takes each candidate's rounding
-    energy from those samples before the clip, and verifies in one batch.
+    A transcription of the search rule, whose target bits are the LSBs of
+    coeffs. Each round nudges 7 slots: the offenders in raster order, then
+    the non-offenders whose rendered coefficient lies furthest from cur. It
+    renders the whole capped pool of +-2 nudges through the full inverse
+    DCT, takes each candidate's rounding energy from those samples before
+    the clip, and verifies in one batch.
     Of the candidates with energy below 64/12 - sqrt(64/180), one standard
     deviation under the mean energy of 64 uniform rounding errors, it
     commits the first clean one in pool order, else re-anchors on the
@@ -301,7 +310,7 @@ def reference_verify_adjust_block(coeffs, bits):
     pool_coeffs, max_rounds, cut = 7, 16, 64 / 12 - math.sqrt(64 / 180)
     rows = _reference_patterns(pool_coeffs)
     cur = np.asarray(coeffs, dtype=np.int64).reshape(8, 8).copy()
-    bits = np.asarray(bits, dtype=np.int64).reshape(8, 8)
+    bits = cur & 1
     seen = [inverse_dct(cur)]  # the samples of every anchor
     best_pixels = None
     best_residual = 65
@@ -368,6 +377,6 @@ def reference_embed(cover, frame, mode="container"):
     residual = 0
     if mode == "spatial8":
         for i in range(used):
-            rendered[i], errors = engine.verify_adjust_block(coeffs[i], bit_blocks[i])
+            rendered[i], errors = engine.verify_adjust_block(coeffs[i])
             residual += errors
     return coeffs, assemble(rendered, cover.width, cover.height).astype(np.uint8), residual

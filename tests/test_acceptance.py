@@ -221,7 +221,7 @@ def test_criterion_6_spatial_integrity(capsys):
         block = rng.integers(96, 161, (8, 8)).astype(np.float64)
         bits = rng.integers(0, 2, (8, 8)).astype(np.int64)
         coeffs = engine.set_lsb(blockdct.quantize(blockdct.forward_dct(block)), bits)
-        _, residual = engine.verify_adjust_block(coeffs, bits)
+        _, residual = engine.verify_adjust_block(coeffs)
         if residual:
             noise_failures += 1
 
@@ -229,7 +229,7 @@ def test_criterion_6_spatial_integrity(capsys):
     flat_coeffs = blockdct.quantize(blockdct.forward_dct(np.full((8, 8), 128.0)))
     for _ in range(10000):
         bits = rng.integers(0, 2, (8, 8)).astype(np.int64)
-        _, residual = engine.verify_adjust_block(engine.set_lsb(flat_coeffs, bits), bits)
+        _, residual = engine.verify_adjust_block(engine.set_lsb(flat_coeffs, bits))
         if residual:
             const_failures += 1
 

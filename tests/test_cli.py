@@ -22,7 +22,7 @@ from dctsteg.errors import (
 )
 from dctsteg.framing import HEADER_BITS, TABLE_BITS, PayloadFrame, PayloadHeader
 from dctsteg.huffman import build_table, decode
-from support import bitstream, frame_bits, natural_cover
+from support import bitstream, fibonacci_secret, frame_bits, natural_cover
 
 
 @pytest.fixture
@@ -286,6 +286,23 @@ def test_inspect_container(capsys, tmp_path, cover_path):
     assert fields["symbol_count"] == "19"
     assert int(fields["table_symbols"]) >= 10
     assert int(fields["max_code_length"]) >= 4
+
+
+def test_codes_longer_than_the_lookup_window_round_trip(capsys, tmp_path, big_cover_path):
+    # 21 symbols with Fibonacci counts get codes of 1..20 bits: the longest
+    # five pass decode's 16-bit window and take its one-codeword walk
+    secret = tmp_path / "fibonacci.bin"
+    secret.write_bytes(fibonacci_secret(21))
+    assert len(secret.read_bytes()) == 28656
+    stego = tmp_path / "fibonacci.dsc"
+    code, _, _ = run_cli(capsys, "embed", "--cover", big_cover_path, "--secret", secret,
+                         "--out", stego)
+    assert code == 0
+    code, out, _ = run_cli(capsys, "inspect", "--in", stego)
+    assert code == 0 and out.endswith(" table_symbols=21 max_code_length=20\n")
+    recovered = tmp_path / "recovered.bin"
+    code, _, _ = run_cli(capsys, "extract", "--in", stego, "--out", recovered)
+    assert code == 0 and recovered.read_bytes() == secret.read_bytes()
 
 
 def test_inspect_non_stego_exit_4(capsys, tmp_path, cover_path):

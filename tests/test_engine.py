@@ -24,6 +24,7 @@ from dctsteg import (
 from dctsteg.blockdct import assemble, forward_dct, inverse_dct, partition, quantize
 from dctsteg.engine import set_lsb, verify_adjust_block
 from dctsteg.framing import PayloadFrame, PayloadHeader
+from dctsteg.huffman import build_table
 from dctsteg.errors import (
     BadHeader,
     BadMagic,
@@ -33,6 +34,7 @@ from dctsteg.errors import (
 )
 from dctsteg import blockdct, engine
 from support import (
+    fibonacci_secret,
     frame_bits,
     natural_cover,
     reference_embed,
@@ -366,8 +368,7 @@ def test_render_stays_close_to_cover():
 
 def test_verify_adjust_clean_block_is_untouched():
     coeffs = np.zeros((8, 8), dtype=np.int64)
-    bits = np.zeros((8, 8), dtype=np.int64)
-    pixels, residual = verify_adjust_block(coeffs, bits)
+    pixels, residual = verify_adjust_block(coeffs)
     assert residual == 0
     assert not pixels.any()
 
@@ -379,7 +380,7 @@ def test_verify_adjust_converges_on_noise_blocks():
         block = rng.integers(96, 161, (8, 8)).astype(np.float64)
         bits = rng.integers(0, 2, (8, 8)).astype(np.int64)
         coeffs = set_lsb(quantize(forward_dct(block)), bits)
-        pixels, residual = verify_adjust_block(coeffs, bits)
+        pixels, residual = verify_adjust_block(coeffs)
         assert residual == 0
         # zero residual must mean the canonical pipeline recovers the bits
         recovered = quantize(forward_dct(pixels.astype(np.float64))) & 1
@@ -388,9 +389,9 @@ def test_verify_adjust_converges_on_noise_blocks():
     assert worst_mse < 16.0  # adjusted render stays near the cover block
 
 
-def _same_as_reference(coeffs, bits):
-    pixels, residual = verify_adjust_block(coeffs, bits)
-    ref_pixels, ref_residual = reference_verify_adjust_block(coeffs, bits)
+def _same_as_reference(coeffs):
+    pixels, residual = verify_adjust_block(coeffs)
+    ref_pixels, ref_residual = reference_verify_adjust_block(coeffs)
     return residual == ref_residual and np.array_equal(pixels, ref_pixels)
 
 
@@ -426,7 +427,7 @@ def test_verify_adjust_matches_full_render_reference():
         bits = rng.integers(0, 2, (8, 8)).astype(np.int64)
         if index in kept:
             bits[kept[index]] = 0
-        if not _same_as_reference(set_lsb(coeffs, bits), bits):
+        if not _same_as_reference(set_lsb(coeffs, bits)):
             mismatched.append(index)
     assert mismatched == []
 
@@ -540,7 +541,7 @@ def _noise_cases(seed, count):
     for _ in range(count):
         block = rng.integers(96, 161, (8, 8)).astype(np.float64)
         bits = rng.integers(0, 2, (8, 8)).astype(np.int64)
-        yield set_lsb(quantize(forward_dct(block)), bits), bits
+        yield set_lsb(quantize(forward_dct(block)), bits)
 
 
 def test_verify_adjust_in_a_workspace_allocates_no_pool_sized_arrays(monkeypatch):
@@ -551,11 +552,11 @@ def test_verify_adjust_in_a_workspace_allocates_no_pool_sized_arrays(monkeypatch
     monkeypatch.setattr(engine, "_pool_factor", lambda *a: rounds.append(1) or factor(*a))
     ws = engine._Workspace()
     peaks = []
-    for coeffs, bits in _noise_cases(12, 24):  # 6 of them take more than one round
+    for coeffs in _noise_cases(12, 24):  # 6 of them take more than one round
         rounds.clear()
         tracemalloc.start()
         try:
-            _, residual = verify_adjust_block(coeffs, bits, ws)
+            _, residual = verify_adjust_block(coeffs, ws)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -580,14 +581,14 @@ def test_verify_adjust_never_re_anchors_on_a_whole_sample_shift(monkeypatch):
     anchors = []
     factor = engine._pool_factor
     monkeypatch.setattr(engine, "_pool_factor", lambda *a: anchors.append(a[1]) or factor(*a))
-    pixels, residual = verify_adjust_block(coeffs, bits)
+    pixels, residual = verify_adjust_block(coeffs)
     assert residual == 0 and len(anchors) >= 2
     for i, later in enumerate(anchors):
         for earlier in anchors[:i]:
             shift = later - earlier
             assert np.abs(shift - np.rint(shift)).max() > 1e-6
     monkeypatch.undo()
-    assert _same_as_reference(coeffs, bits)
+    assert _same_as_reference(coeffs)
 
 
 def test_verify_adjust_results_outlive_the_workspace():
@@ -597,17 +598,17 @@ def test_verify_adjust_results_outlive_the_workspace():
     cases = list(_noise_cases(13, 16))
     for value in (0, 255, 0, 255):
         bits = rng.integers(0, 2, (8, 8))
-        cases.append((set_lsb(_flat_coeffs(value), bits), bits))
+        cases.append(set_lsb(_flat_coeffs(value), bits))
     ws = engine._Workspace()
     kept = []
-    for coeffs, bits in cases:
-        pixels, residual = verify_adjust_block(coeffs, bits, ws)
+    for coeffs in cases:
+        pixels, residual = verify_adjust_block(coeffs, ws)
         assert not np.shares_memory(pixels, ws.pixels)
-        kept.append((pixels, pixels.copy(), residual, coeffs, bits))
-    assert any(residual for _, _, residual, _, _ in kept)
-    for pixels, snapshot, residual, coeffs, bits in kept:
+        kept.append((pixels, pixels.copy(), residual, coeffs))
+    assert any(residual for _, _, residual, _ in kept)
+    for pixels, snapshot, residual, coeffs in kept:
         assert np.array_equal(pixels, snapshot)
-        ref_pixels, ref_residual = reference_verify_adjust_block(coeffs, bits)
+        ref_pixels, ref_residual = reference_verify_adjust_block(coeffs)
         assert residual == ref_residual and np.array_equal(pixels, ref_pixels)
 
 
@@ -639,8 +640,8 @@ def test_spatial8_embed_equals_the_reference_search_on_a_near_full_cover():
     coeffs[: len(bit_blocks)] = set_lsb(coeffs[: len(bit_blocks)], bit_blocks)
     rendered = reference_pixels(inverse_dct(coeffs))
     residual = 0
-    for i, bits in enumerate(bit_blocks):
-        rendered[i], errors = reference_verify_adjust_block(coeffs[i], bits)
+    for i in range(len(bit_blocks)):
+        rendered[i], errors = reference_verify_adjust_block(coeffs[i])
         residual += errors
     assert report.residual_bit_errors == residual
     assert np.array_equal(stego.pixels, assemble(rendered, 64, 64).astype(np.uint8))
@@ -698,7 +699,7 @@ def _clamped_cases(seed, levels, count):
         for _ in range(count):
             block = np.clip(level + rng.integers(-4, 5, (8, 8)), 0, 255).astype(np.float64)
             bits = rng.integers(0, 2, (8, 8)).astype(np.int64)
-            yield set_lsb(quantize(forward_dct(block)), bits), bits
+            yield set_lsb(quantize(forward_dct(block)), bits)
 
 
 def test_each_pass_verifies_exactly_the_candidates_below_the_cut(monkeypatch):
@@ -718,10 +719,10 @@ def test_each_pass_verifies_exactly_the_candidates_below_the_cut(monkeypatch):
     monkeypatch.setattr(blockdct, "lsb_parity", recording_parity)
     passes = screened = candidates = clipped = 0
     noise = list(_noise_cases(76, 16))
-    for index, (coeffs, bits) in enumerate(noise + list(_clamped_cases(77, (0, 2, 253, 255), 2))):
+    for index, coeffs in enumerate(noise + list(_clamped_cases(77, (0, 2, 253, 255), 2))):
         renders.clear()
         verified.clear()
-        _, residual = verify_adjust_block(coeffs, bits)
+        _, residual = verify_adjust_block(coeffs)
         assert residual == 0 or index >= len(noise)
         # one 1-block call for the first render, then one call per pass
         assert len(verified) == 1 + len(renders) and verified[0].shape == (1, 8, 8)
@@ -757,11 +758,11 @@ def test_near_full_natural_embed_verifies_under_450_candidates_per_block(monkeyp
 
 def test_verify_adjust_with_nothing_screened_returns_the_first_render(monkeypatch):
     monkeypatch.setattr(engine, "_ENERGY_CUT", 0.0)
-    for coeffs, bits in _noise_cases(74, 8):
-        pixels, residual = verify_adjust_block(coeffs, bits)
+    for coeffs in _noise_cases(74, 8):
+        pixels, residual = verify_adjust_block(coeffs)
         first = engine._to_pixels(inverse_dct(coeffs))
         assert np.array_equal(pixels, first)
-        assert residual == int(((quantize(forward_dct(first)) & 1) != bits).sum()) > 0
+        assert residual == int(((quantize(forward_dct(first)) & 1) != (coeffs & 1)).sum()) > 0
 
 
 def test_spatial_embed_extract_round_trip():
@@ -774,6 +775,17 @@ def test_spatial_embed_extract_round_trip():
     assert recovered == secret
     assert header.symbol_count == 60
     assert report.psnr_db > 40.0
+
+
+def test_spatial8_round_trip_of_codes_longer_than_the_lookup_window():
+    # 18 symbols with Fibonacci counts get codes of 1..17 bits; shuffled, the
+    # two 17-bit codes, past decode's 16-bit window, fall mid-stream
+    runs = np.frombuffer(fibonacci_secret(18), dtype=np.uint8)
+    secret = np.random.default_rng(18).permutation(runs).tobytes()
+    assert len(secret) == 6764 and build_table(secret).max_length == 17
+    stego, report = embed(Image8(natural_cover(144, 144, 18)), build_frame(secret), "spatial8")
+    assert report.residual_bit_errors == 0
+    assert extract(stego)[0] == secret
 
 
 def test_spatial8_on_full_range_noise_covers_has_no_residual_bits():
