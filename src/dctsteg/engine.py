@@ -7,7 +7,6 @@ per payload block, because rounding pixels to integers perturbs coefficient
 LSBs; residual errors are reported honestly instead of hidden.
 """
 
-import io
 import os
 import struct
 import threading
@@ -40,7 +39,8 @@ class StegoContainer:
 
     Wire format (.dsc): magic u32 0x44535431, width u16, height u16, then one
     16-bit big-endian two's-complement integer per coefficient, blocks
-    row-major and coefficients row-major within each block.
+    row-major and coefficients row-major within each block. coeffs is that
+    coefficient section as it is on the wire, a C-contiguous >i2 array.
     """
 
     def __init__(self, width, height, coeffs):
@@ -61,22 +61,16 @@ class StegoContainer:
             raise ValueError(f"coefficients must lie in [{COEFF_MIN}, {COEFF_MAX}]")
         self.width = int(width)
         self.height = int(height)
-        self.coeffs = coeffs.astype(np.int16, copy=False)  # the wire width, once in range
+        self.coeffs = np.ascontiguousarray(coeffs, dtype=">i2")  # the wire, once in range
 
     def write(self, file):
-        """Write the .dsc to a binary file: the header, then the big-endian
-        coefficients in pieces of _CHUNK_BLOCKS blocks through one buffer."""
+        """Write the .dsc to a binary file: the header, then coeffs as they are."""
         file.write(_CONTAINER_HEADER.pack(CONTAINER_MAGIC, self.width, self.height))
-        piece = np.empty((min(_CHUNK_BLOCKS, len(self.coeffs)), BLOCK, BLOCK), dtype=">i2")
-        for start in range(0, len(self.coeffs), _CHUNK_BLOCKS):
-            part = piece[: len(self.coeffs) - start]
-            np.copyto(part, self.coeffs[start : start + _CHUNK_BLOCKS])
-            file.write(part)
+        file.write(self.coeffs)
 
     def to_bytes(self):
-        out = io.BytesIO()
-        self.write(out)
-        return out.getvalue()
+        header = _CONTAINER_HEADER.pack(CONTAINER_MAGIC, self.width, self.height)
+        return header + self.coeffs.tobytes()
 
     @classmethod
     def from_bytes(cls, data):
@@ -91,7 +85,7 @@ class StegoContainer:
         offset = _CONTAINER_HEADER.size
         if len(data) - offset < 2 * count:
             raise Truncated(f"need {2 * count} coefficient bytes, have {len(data) - offset}")
-        coeffs = np.frombuffer(data, dtype=">i2", count=count, offset=offset).astype(np.int16)
+        coeffs = np.frombuffer(data, dtype=">i2", count=count, offset=offset)
         try:  # the constructor's range check is the parse's one check
             return cls(width, height, coeffs.reshape(-1, BLOCK, BLOCK))
         except ValueError as exc:
@@ -454,7 +448,7 @@ def embed(cover, frame, mode="container"):
         )
     packed = np.frombuffer(frame.data, dtype=np.uint8).reshape(-1, BLOCK)  # a row per block
     used = len(packed)
-    coeffs = np.empty((width * height // BLOCK**2, BLOCK, BLOCK), dtype=np.int16)
+    coeffs = np.empty((width * height // BLOCK**2, BLOCK, BLOCK), dtype=">i2")
     source = np.ascontiguousarray(cover.pixels)
     if mode == "container":
         score = metrics.score(_chunk_pass(coeffs, None, source, packed), width * height)

@@ -49,8 +49,8 @@ def parse_kv(line):
     return dict(pair.split("=", 1) for pair in line.split())
 
 
-def test_dsc_streamed_in_pieces_equals_to_bytes(capsys, tmp_path):
-    # 520x512 is 4,160 blocks: two whole 2,048-block pieces and a last one of 64
+def test_dsc_streamed_equals_to_bytes(capsys, tmp_path):
+    # 520x512 is 4,160 blocks, more than one 2,048-block chunk of the embed
     cover = Image8(natural_cover(520, 512, 520 + 512))
     secret = np.random.default_rng(520).bytes(20000)
     container, _ = embed(cover, build_frame(secret))

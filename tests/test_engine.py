@@ -185,14 +185,60 @@ def test_container_constructor_rejects_int64_values_that_wrap_in_int16(value):
         StegoContainer(8, 8, coeffs)
 
 
-def test_container_holds_int16_coefficients_from_every_source():
+def test_container_holds_wire_format_coefficients_from_every_source():
     container, _ = embed(_cover(64, 64, 5), build_frame(b"wire width"))
     parsed = StegoContainer.from_bytes(container.to_bytes())
     built = StegoContainer(64, 64, container.coeffs.astype(np.int64))
     for each in (container, parsed, built):
-        assert each.coeffs.dtype == np.int16
+        assert each.coeffs.dtype == np.dtype(">i2")
     assert parsed == container == built
     assert parsed.to_bytes() == container.to_bytes()
+
+
+@pytest.mark.parametrize("dtype", [">i2", np.int16])
+def test_container_of_strided_coefficients_writes_its_bytes(dtype, tmp_path):
+    # every other block of four: a view that file.write would reject as not C-contiguous
+    values = np.arange(-128, 128).reshape(4, 8, 8).astype(dtype)[::2]
+    container = StegoContainer(8, 16, values)
+    with open(tmp_path / "strided.dsc", "wb") as out:
+        container.write(out)
+    blob = (tmp_path / "strided.dsc").read_bytes()
+    assert blob == container.to_bytes()
+    parsed = StegoContainer.from_bytes(blob)
+    assert parsed == container
+    assert np.array_equal(parsed.coeffs, values)
+
+
+def test_container_parse_and_write_copy_no_coefficients(tmp_path):
+    frame = build_frame(np.random.default_rng(29).bytes(20000))
+    container, _ = embed(_cover(512, 512, 29), frame)
+    data = container.to_bytes()
+    limit = container.coeffs.nbytes // 10
+    tracemalloc.start()
+    try:
+        parsed = StegoContainer.from_bytes(data)
+        _, parse_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    with open(tmp_path / "written.dsc", "wb") as out:  # a real file: BytesIO's buffer would count
+        tracemalloc.start()
+        try:
+            parsed.write(out)
+            _, write_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / "written.dsc").read_bytes() == data
+    assert parse_peak < limit
+    assert write_peak < limit
+
+
+def test_parsed_container_is_a_read_only_snapshot():
+    data = bytearray(StegoContainer(8, 8, np.arange(-32, 32).reshape(1, 8, 8)).to_bytes())
+    before = StegoContainer.from_bytes(bytes(data))
+    parsed = StegoContainer.from_bytes(data)
+    data[-1] ^= 0x02  # the last coefficient's bit 1
+    assert parsed == before
+    assert not parsed.coeffs.flags.writeable
 
 
 def _frame_of_blocks(count, seed):

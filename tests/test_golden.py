@@ -81,6 +81,8 @@ def test_v1_fixtures_extract_byte_exact(name, tmp_path):
     assert sha256(data) == digest
     stego = StegoContainer.from_bytes(data) if name.endswith(".dsc") else read_pgm(data)
     assert extract(stego)[0] == secret
+    if name.endswith(".dsc"):
+        assert stego.to_bytes() == data
     out = tmp_path / "secret.bin"
     with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
         code = entry(["extract", "--in", str(FIXTURES / name), "--out", str(out)])
