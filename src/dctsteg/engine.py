@@ -354,26 +354,25 @@ def _block_rows(pixels):
     return pixels.view(_ROW).reshape(-1, BLOCK, pixels.shape[1] // BLOCK).transpose(0, 2, 1)
 
 
-def _chunk_pass(coeffs, pixels=None, cover=None, frame=None):
-    """Render coefficient blocks chunk by chunk, computing them first from a cover.
+def _chunk_pass(coeffs, image, frame=None):
+    """Embed a frame into coeffs from a cover, or render coeffs into an image.
 
-    Chunks are whole block rows. With a cover, each chunk's pixels are
+    With a frame, image is the cover: each chunk of whole block rows is
     copied into a uint8 scratch of row-major blocks, cast into a float
     buffer, forward transformed and quantized into coeffs, and block
-    i < len(frame) takes the bits of its 8 bytes frame[i], unpacked per
-    chunk, in its LSBs; the chunk is then rendered while its buffer is
-    warm. The render goes through the scratch into pixels or, with no
-    pixels (a container embed), is compared with the cover blocks still
-    in the scratch: the call then returns the exact squared pixel error,
-    summed over the chunks. Every step is per block, so the chunks are
-    split over one thread per CPU, each with its own buffers, and the
-    split changes no value. The float buffers share one budget of
-    _CHUNK_BLOCKS blocks, one block row at least, whatever the CPU count:
-    n threads take chunks of 1/n of the budget's rows, and there are never
-    more threads than budget rows or than chunks of the whole budget. A
-    worker's exception is raised once every thread has joined.
+    i < len(frame) takes the bits of its 8 bytes frame[i] in its LSBs. The
+    chunk is rendered while its buffer is warm and compared with the cover
+    blocks in the scratch; the call returns the exact squared pixel error.
+    Without a frame, each chunk of coeffs renders through the scratch into
+    image. Every step is per block, so the chunks are split over one thread
+    per CPU, each with its own buffers, and the split changes no value. The
+    float buffers share one budget of _CHUNK_BLOCKS blocks, one block row
+    at least, whatever the CPU count: n threads take chunks of 1/n of the
+    budget's rows, and there are never more threads than budget rows or
+    than chunks of the whole budget. A worker's exception is raised once
+    every thread has joined.
     """
-    height, width = (cover if pixels is None else pixels).shape
+    height, width = image.shape
     across = width // BLOCK
     budget = max(1, _CHUNK_BLOCKS // across)  # block rows of all the buffers
     workers = min(_cpus(), budget, -(-height // (BLOCK * budget)))
@@ -393,8 +392,8 @@ def _chunk_pass(coeffs, pixels=None, cover=None, frame=None):
                 real, blocks = buffer[:, :count], scratch[:count]
                 chunk = coeffs[first : first + count]
                 grid = blocks.view(_ROW).reshape(-1, across, BLOCK)
-                if cover is not None:
-                    np.copyto(grid, _block_rows(cover[band]))
+                if frame is not None:
+                    np.copyto(grid, _block_rows(image[band]))
                     np.copyto(real[1], blocks)
                     dct = blockdct.forward_dct(real[1], out=real)
                     chunk[...] = blockdct.quantize(dct, out=real[0])
@@ -403,13 +402,13 @@ def _chunk_pass(coeffs, pixels=None, cover=None, frame=None):
                     marked[...] = set_lsb(marked, bits.reshape(-1, BLOCK, BLOCK))
                 real[1] = chunk
                 samples = _to_pixels(blockdct.inverse_dct(real[1], out=real), out=real[1])
-                if pixels is None:
+                if frame is not None:
                     diff = np.subtract(samples, blocks, out=samples).reshape(-1)
                     # every partial sum is an integer below 2**53, so float64 adds it exactly
                     totals[k] += int(np.einsum("i,i->", diff, diff))
                 else:
                     np.copyto(blocks, samples, casting="unsafe")
-                    np.copyto(_block_rows(pixels[band]), grid)
+                    np.copyto(_block_rows(image[band]), grid)
         except BaseException as exc:  # raised by the calling thread after the join
             errors.append(exc)
 
@@ -434,9 +433,9 @@ def embed(cover, frame, mode="container"):
     Bit group i of the frame lands in the LSBs of coefficient block i; blocks
     past the frame keep their plain quantized coefficients. Returns
     (StegoContainer, report) in container mode or (Image8, report) in
-    spatial8 mode. One _chunk_pass computes the coefficients and renders
-    them: into a spatial8 image, which the search then adjusts and PSNR
-    scores, or, for a container, only as far as its squared error.
+    spatial8 mode. Both modes embed through one _chunk_pass, whose squared
+    error scores a container. spatial8 then renders as render() does, and
+    the search adjusts the payload blocks before the image is scored.
     """
     if mode not in ("container", "spatial8"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -450,12 +449,13 @@ def embed(cover, frame, mode="container"):
     used = len(packed)
     coeffs = np.empty((width * height // BLOCK**2, BLOCK, BLOCK), dtype=">i2")
     source = np.ascontiguousarray(cover.pixels)
+    squared_error = _chunk_pass(coeffs, source, packed)
     if mode == "container":
-        score = metrics.score(_chunk_pass(coeffs, None, source, packed), width * height)
+        score = metrics.score(squared_error, width * height)
         report = EmbedReport(used, frame.header.payload_bit_length, score.psnr_db, 0)
         return StegoContainer(width, height, coeffs), report
     stego = Image8(np.empty((height, width), dtype=np.uint8))
-    _chunk_pass(coeffs, stego.pixels, source, packed)
+    _chunk_pass(coeffs, stego.pixels)
     ws, grid = _Workspace(), blockdct.block_grid(stego.pixels)
     residual = 0
     for i in range(used):
@@ -466,7 +466,7 @@ def embed(cover, frame, mode="container"):
 
 
 def render(container):
-    """8-bit view of a container: the render half of embed's chunk pass.
+    """8-bit view of a container: a _chunk_pass without a frame, as in spatial8 embed.
 
     For viewing and fidelity scoring; extraction in container mode reads the
     coefficients directly.

@@ -9,6 +9,7 @@ from dctsteg.huffman import (
     DOUBLING_BLOCK,
     STRIDE,
     Bitstream,
+    HuffmanTable,
     build_table,
     byte_counts,
     decode,
@@ -111,6 +112,21 @@ def test_kraft_inequality_holds():
 def test_empty_input_rejected():
     with pytest.raises(EmptyInput):
         build_table(b"")
+
+
+@pytest.mark.parametrize(
+    "lengths, message",
+    [
+        ([0] * 255, "must have 256 entries"),
+        ([0] * 257, "must have 256 entries"),
+        ([-1] + [0] * 255, r"must be in \[0, 255\]"),
+        ([256] + [0] * 255, r"must be in \[0, 255\]"),
+    ],
+    ids=["255 lengths", "257 lengths", "length -1", "length 256"],
+)
+def test_huffman_table_rejects_a_bad_shape_or_length(lengths, message):
+    with pytest.raises(ValueError, match=message):
+        HuffmanTable(lengths)
 
 
 def test_encode_unknown_symbol():
