@@ -2,8 +2,8 @@
 
 stdout carries machine-parseable key=value lines; diagnostics go to stderr.
 Exit codes: 0 success, 2 payload too large, 3 I/O or input format error,
-4 input is not a (valid) stego artifact, 5 a spatial8 render kept residual
-bit errors (no artifact is written).
+4 input is not a (valid) stego artifact, its frame checksum included, 5 a
+spatial8 render kept residual bit errors (no artifact is written).
 """
 
 import argparse
@@ -119,7 +119,8 @@ def cmd_inspect(args):
         f"magic=0x{header.magic:04x} version={header.version} "
         f"secret_kind={header.secret_kind} secret_width={header.secret_width} "
         f"secret_height={header.secret_height} symbol_count={header.symbol_count} "
-        f"payload_bits={header.payload_bit_length} table_symbols={len(table.symbols)} "
+        f"payload_bits={header.payload_bit_length} coding={header.coding} "
+        f"table_symbols={len(table.symbols)} "
         f"max_code_length={table.max_length}"
     )
     return 0

@@ -29,7 +29,6 @@ from .image_io import Image8
 CONTAINER_MAGIC = 0x44535431  # file magic "DST1"
 COEFF_MIN = -4096
 COEFF_MAX = 4095
-FRAME_OVERHEAD_BITS = framing.HEADER_BITS + framing.TABLE_BITS
 
 _CONTAINER_HEADER = struct.Struct(">IHH")
 
@@ -117,13 +116,15 @@ def set_lsb(c, b):
 
 
 def capacity(width, height):
-    """Payload bits a cover can carry: one per coefficient minus frame overhead.
+    """Payload bits a cover can carry: one per coefficient minus the 192-bit header.
 
-    The 128-bit header and 2048-bit code table always ride along, so small
-    covers bottom out at zero.
+    That is the payload of the largest stored frame, so every secret of at
+    most capacity / 8 bytes fits: a frame is coded only where its table and
+    payload are shorter than storing. A coded payload gets 2048 bits fewer,
+    the table's. Small covers bottom out at zero.
     """
     blockdct.check_aligned(width, height)
-    return max(0, width * height - FRAME_OVERHEAD_BITS)
+    return max(0, width * height - framing.HEADER_BITS)
 
 
 _TIE = 1e-10  # the margin by which a sample on a .5 tie rounds up
@@ -495,7 +496,10 @@ def extract(stego):
     header, table, payload = read_frame(stego)
     secret = huffman.decode(payload, table, header.symbol_count)
     # decode stops after symbol_count codes; a valid frame's payload ends there
-    used = int(huffman.byte_counts(secret) @ table.code_lengths)
+    if table.fixed_length:
+        used = table.max_length * len(secret)
+    else:
+        used = int(huffman.byte_counts(secret) @ table.code_lengths)
     if used != header.payload_bit_length:
         raise PayloadLengthMismatch(
             f"decoded {header.symbol_count} symbols from {used} of "

@@ -60,6 +60,10 @@ class UnsupportedVersion(StegError):
     """Frame version is not understood."""
 
 
+class ChecksumMismatch(StegError):
+    """A version-2 frame's CRC-32 disagrees with its header, table and payload."""
+
+
 class PayloadLengthMismatch(StegError):
     """Decoded symbols do not fill exactly the payload bits the header declares."""
 

@@ -42,6 +42,9 @@ class HuffmanTable:
     length l up to max_length, count[l] codes have length l, the first
     of them is first_code[l], and it belongs to symbols[first_index[l]].
     Codes are Python ints because a parsed table may carry 255-bit codes.
+    fixed_length is true for a complete fixed-length code, where every
+    max_length-bit word is a codeword (Kraft then leaves no other length,
+    so max_length <= 8): the codeword of symbols[v] is v.
     """
 
     def __init__(self, code_lengths):
@@ -61,6 +64,7 @@ class HuffmanTable:
         for l in range(1, self.max_length + 1):
             self.first_code[l] = (self.first_code[l - 1] + self.count[l - 1]) << 1
             self.first_index[l] = self.first_index[l - 1] + self.count[l - 1]
+        self.fixed_length = self.count[self.max_length] == 1 << self.max_length
 
     def __eq__(self, other):
         if not isinstance(other, HuffmanTable):
@@ -82,15 +86,23 @@ def byte_counts(data):
     return counts
 
 
-def build_table(data):
+def entropy_bits(counts):
+    """Length times byte entropy of data with these byte_counts: no prefix code is shorter."""
+    present = counts[counts > 0].astype(np.float64)
+    total = present.sum()
+    return float(total * np.log2(total) - present @ np.log2(present))
+
+
+def build_table(data, counts=None):
     """Optimal prefix code lengths for the byte frequencies of data, canonicalized.
 
     A single distinct symbol gets code length 1 so it still occupies bits.
+    counts is byte_counts(data), where the caller has counted already.
     """
     data = bytes(data)
     if not data:
         raise EmptyInput("cannot build a code from empty data")
-    freqs = byte_counts(data)
+    freqs = byte_counts(data) if counts is None else counts
     lengths = np.zeros(256, dtype=np.int64)
     present = np.flatnonzero(freqs)
     # heap entries: (weight, leaf-before-internal, symbol or creation order, node)
@@ -113,7 +125,7 @@ def build_table(data):
 def encode(data, table):
     """Concatenate the canonical codes of data's bytes in input order.
 
-    Under a complete fixed-length code (see decode) the codeword of a
+    Under a complete fixed-length code (see HuffmanTable) the codeword of a
     symbol is its rank in table.symbols, so the translated ranks, each cut
     to its last max_length bits for a shorter code, are the stream.
     """
@@ -122,7 +134,7 @@ def encode(data, table):
     if missing:
         raise SymbolNotInTable(f"symbol 0x{min(missing):02x} has no codeword")
     m = table.max_length
-    if table.count[m] == 1 << m:
+    if table.fixed_length:
         rank = np.zeros(256, dtype=np.uint8)
         rank[table.symbols] = np.arange(1 << m)
         ranks = data.translate(rank.tobytes())
@@ -152,18 +164,17 @@ def decode(bits, table, symbol_count):
     where it meets one. numpy marks the codeword starts inside each stride
     and looks their symbols up.
 
-    A complete fixed-length code, where every max_length-bit word is a
-    codeword (Kraft then leaves no other length, so max_length <= 8), skips
-    the walk: the codeword of symbols[v] is v, so one translate through
-    symbols decodes the stream's first symbol_count bytes, or, for a
-    shorter code, the codes repacked one to a byte, right-aligned.
+    A complete fixed-length code (see HuffmanTable) skips the walk: the
+    codeword of symbols[v] is v, so one translate through symbols decodes
+    the stream's first symbol_count bytes, or, for a shorter code, the
+    codes repacked one to a byte, right-aligned.
     """
     if symbol_count == 0:
         return b""
     if not table.symbols:
         raise InvalidCode("empty table cannot decode symbols")
     m = table.max_length
-    if table.count[m] == 1 << m:
+    if table.fixed_length:
         # symbol_count comes from an untrusted header: check it before allocating
         if bits.bit_length < symbol_count * m:
             raise TruncatedStream(

@@ -12,7 +12,8 @@ import math
 import numpy as np
 
 from dctsteg.errors import InvalidCode, TruncatedStream
-from dctsteg.huffman import Bitstream
+from dctsteg.framing import KIND_BYTES, PayloadFrame, PayloadHeader
+from dctsteg.huffman import Bitstream, build_table, encode, serialize_table
 
 
 def _c(k):
@@ -351,6 +352,20 @@ def reference_verify_adjust_block(coeffs):
         seen.append(samples[chosen])
         mask, pix = masks[chosen], pixels[chosen]
     return best_pixels.astype(np.uint8), best_residual
+
+
+def build_v1_frame(secret, kind=KIND_BYTES, dims=(0, 0)):
+    """The version-1 frame of secret, as embedders before version 2 wrote it.
+
+    A 128-bit header, the 2048-bit table and the Huffman payload, zero
+    padded to a multiple of 64 bits, with no coding choice and no check.
+    """
+    secret = bytes(secret)
+    table = build_table(secret)
+    payload = encode(secret, table)
+    header = PayloadHeader(kind, *dims, len(secret), payload.bit_length, version=1)
+    data = header.to_bytes() + serialize_table(table) + payload.data
+    return PayloadFrame(data + bytes(-len(data) % 8), header)
 
 
 def frame_bits(frame):

@@ -129,7 +129,7 @@ def test_criterion_3_capacity_arithmetic(capsys):
     raw_secret_bits = 8 * secret_img.size
     ok = (
         raw == 262144
-        and payload == 259968
+        and payload == 261952  # all but the 192-bit version-2 header
         and entropy <= 6.0
         and frame.bit_length <= raw
         and recovered == secret_img.tobytes()

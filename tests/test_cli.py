@@ -3,6 +3,7 @@
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -18,11 +19,12 @@ from dctsteg import (
 )
 from dctsteg.cli import entry
 from dctsteg.errors import (
-    BadHeader, DimensionMismatch, InvalidCode, PayloadLengthMismatch, StegError, TruncatedStream,
+    BadHeader, ChecksumMismatch, DimensionMismatch, InvalidCode, PayloadLengthMismatch, StegError,
+    TruncatedStream,
 )
-from dctsteg.framing import HEADER_BITS, TABLE_BITS, PayloadFrame, PayloadHeader
+from dctsteg.framing import TABLE_BITS, PayloadFrame, PayloadHeader
 from dctsteg.huffman import build_table, decode
-from support import bitstream, fibonacci_secret, frame_bits, natural_cover
+from support import bitstream, build_v1_frame, fibonacci_secret, frame_bits, natural_cover
 
 
 @pytest.fixture
@@ -71,7 +73,8 @@ def test_dsc_streamed_equals_to_bytes(capsys, tmp_path):
 def test_capacity_exact_output(capsys, big_cover_path):
     code, out, _ = run_cli(capsys, "capacity", "--cover", big_cover_path)
     assert code == 0
-    assert out == "raw_slots=262144 payload_bits=259968\n"
+    # every bit but the 192 of the version-2 header: the largest stored payload
+    assert out == "raw_slots=262144 payload_bits=261952\n"
 
 
 def test_embed_extract_container(capsys, tmp_path, cover_path):
@@ -86,7 +89,8 @@ def test_embed_extract_container(capsys, tmp_path, cover_path):
     fields = parse_kv(out)
     assert fields["mode"] == "container"
     assert fields["residual_bit_errors"] == "0"
-    assert int(fields["blocks_used"]) >= 35
+    # the random secret is stored: 192 header bits and 1,200 payload bits
+    assert int(fields["blocks_used"]) == 22
     assert float(fields["psnr_db"]) > 40.0
 
     recovered = tmp_path / "recovered.bin"
@@ -282,7 +286,8 @@ def test_inspect_container(capsys, tmp_path, cover_path):
     assert code == 0
     fields = parse_kv(out)
     assert fields["magic"] == "0x5347"
-    assert fields["version"] == "1"
+    assert fields["version"] == "2"
+    assert fields["coding"] == "0"  # stored: 152 bits, where the table alone is 2,048
     assert fields["symbol_count"] == "19"
     assert int(fields["table_symbols"]) >= 10
     assert int(fields["max_code_length"]) >= 4
@@ -311,7 +316,8 @@ def test_inspect_non_stego_exit_4(capsys, tmp_path, cover_path):
 
 
 def _empty_table_container(header, cover_path):
-    """Container of a frame with this header, an all-zero code table and no payload."""
+    """Container of a version-1 frame, which has no checksum, with an all-zero table and no payload."""
+    header = replace(header, version=1)
     frame = PayloadFrame(header.to_bytes() + bytes(TABLE_BITS // 8), header)
     container, _ = embed(read_pgm(cover_path.read_bytes()), frame)
     return container
@@ -488,11 +494,29 @@ def test_bytes_secret_with_dims_exit_4(capsys, tmp_path, cover_path):
     assert "corrupt frame header" in err
 
 
+def _write_v1_container(cover_path, secret, path):
+    """Embed the version-1 frame of secret, as an earlier embedder wrote it, into a .dsc."""
+    container, _ = embed(read_pgm(cover_path.read_bytes()), build_v1_frame(secret))
+    path.write_bytes(container.to_bytes())
+
+
+def _set_frame_bits(data, start, bits):
+    """Write bits into the LSBs of the .dsc coefficients from frame bit start on.
+
+    Frame bit i is the LSB of coefficient i, the low byte of its 2-byte
+    big-endian word after the 8-byte container header.
+    """
+    for i, bit in enumerate(bits):
+        at = 8 + 2 * (start + i) + 1
+        data[at] = (data[at] & 0xFE) | int(bit)
+
+
 def test_payload_flip_that_decodes_other_bytes_exit_4(capsys, tmp_path, cover_path):
+    # a version-1 frame has no checksum: the payload-length check catches this flip
     secret = b"abracadabra, " * 8
     table = build_table(secret)
-    frame = build_frame(secret)
-    start = HEADER_BITS + TABLE_BITS
+    frame = build_v1_frame(secret)
+    start = 128 + TABLE_BITS
     payload = frame_bits(frame)[start:start + frame.header.payload_bit_length]
     # the first payload bit whose flip still decodes every symbol, to other
     # bytes that fill fewer bits than the header declares
@@ -507,14 +531,10 @@ def test_payload_flip_that_decodes_other_bytes_exit_4(capsys, tmp_path, cover_pa
             break
     else:
         pytest.fail("no payload flip decodes to other bytes")
-    secret_path = tmp_path / "secret.bin"
-    secret_path.write_bytes(secret)
     stego = tmp_path / "stego.dsc"
-    run_cli(capsys, "embed", "--cover", cover_path, "--secret", secret_path, "--out", stego)
+    _write_v1_container(cover_path, secret, stego)
     data = bytearray(stego.read_bytes())
-    # frame bit i is the LSB of coefficient i, the low byte of its 2-byte
-    # big-endian word after the 8-byte container header
-    data[8 + 2 * (start + flip) + 1] ^= 1
+    data[8 + 2 * (start + flip) + 1] ^= 1  # the LSB of coefficient start + flip
     stego.write_bytes(bytes(data))
     recovered = tmp_path / "recovered.bin"
     code, out, err = run_cli(capsys, "extract", "--in", stego, "--out", recovered)
@@ -529,20 +549,17 @@ def test_payload_flip_that_decodes_other_bytes_exit_4(capsys, tmp_path, cover_pa
 ])
 def test_complete_code_payload_length_edit_exit_4(capsys, tmp_path, big_cover_path,
                                                   extra, error, message):
-    # a random 30,000 B secret gets the complete 8-bit code: 8 payload bits a byte
-    secret = tmp_path / "secret.bin"
-    secret.write_bytes(np.random.default_rng(3).bytes(30_000))
+    # the version-1 frame of a random 30,000 B secret has the complete 8-bit
+    # code, 8 payload bits a byte, and no checksum
     stego = tmp_path / "stego.dsc"
-    run_cli(capsys, "embed", "--cover", big_cover_path, "--secret", secret, "--out", stego)
+    _write_v1_container(big_cover_path, np.random.default_rng(3).bytes(30_000), stego)
     code, out, _ = run_cli(capsys, "inspect", "--in", stego)
     fields = parse_kv(out)
-    assert code == 0 and fields["payload_bits"] == "240000"
+    assert code == 0 and fields["version"] == "1" and fields["payload_bits"] == "240000"
     assert fields["table_symbols"] == "256" and fields["max_code_length"] == "8"
     data = bytearray(stego.read_bytes())
-    # frame bits 96..127 (payload_bit_length, u32) are the LSBs of coefficients 96..127
-    length = np.unpackbits(np.array([240_000 + extra], dtype=">u4").view(np.uint8))
-    for i, bit in enumerate(length):
-        data[8 + 2 * (96 + i) + 1] = (data[8 + 2 * (96 + i) + 1] & 0xFE) | int(bit)
+    # frame bits 96..127 are payload_bit_length, u32
+    _set_frame_bits(data, 96, np.unpackbits(np.array([240_000 + extra], ">u4").view(np.uint8)))
     stego.write_bytes(bytes(data))
     with pytest.raises(error, match=f"^{message}$"):
         extract(StegoContainer.from_bytes(data))
@@ -550,6 +567,35 @@ def test_complete_code_payload_length_edit_exit_4(capsys, tmp_path, big_cover_pa
     code, out, err = run_cli(capsys, "extract", "--in", stego, "--out", recovered)
     assert code == 4 and out == ""
     assert err == f"error: {message}\n"
+    assert not recovered.exists()
+
+
+@pytest.mark.parametrize("edit", ["payload bit", "payload length", "crc32 bit"])
+def test_v2_frame_edits_fail_the_checksum_exit_4(capsys, tmp_path, big_cover_path, edit):
+    # the same random secret, stored in a version-2 frame
+    secret = tmp_path / "secret.bin"
+    secret.write_bytes(np.random.default_rng(3).bytes(30_000))
+    stego = tmp_path / "stego.dsc"
+    run_cli(capsys, "embed", "--cover", big_cover_path, "--secret", secret, "--out", stego)
+    code, out, _ = run_cli(capsys, "inspect", "--in", stego)
+    fields = parse_kv(out)
+    assert code == 0 and (fields["version"], fields["coding"]) == ("2", "0")
+    assert fields["payload_bits"] == "240000"
+    data = bytearray(stego.read_bytes())
+    if edit == "payload bit":
+        data[8 + 2 * (192 + 1000) + 1] ^= 1
+    elif edit == "payload length":
+        _set_frame_bits(data, 96, np.unpackbits(np.array([240_008], ">u4").view(np.uint8)))
+    else:
+        data[8 + 2 * 170 + 1] ^= 1  # frame bits 160..191 are crc32
+    stego.write_bytes(bytes(data))
+    with pytest.raises(ChecksumMismatch):
+        extract(StegoContainer.from_bytes(data))
+    recovered = tmp_path / "recovered.bin"
+    for argv in (("extract", "--in", stego, "--out", recovered), ("inspect", "--in", stego)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4 and out == ""
+        assert err.startswith("error: frame CRC-32 0x") and "does not match" in err
     assert not recovered.exists()
 
 

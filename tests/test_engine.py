@@ -34,6 +34,7 @@ from dctsteg.errors import (
 )
 from dctsteg import blockdct, engine
 from support import (
+    build_v1_frame,
     fibonacci_secret,
     frame_bits,
     natural_cover,
@@ -61,10 +62,12 @@ def test_lsb_exhaustive_involution():
 
 
 def test_capacity_values():
-    assert capacity(512, 512) == 259968
-    assert capacity(64, 64) == 1920
+    # every coefficient but the 192 of the version-2 header
+    assert capacity(512, 512) == 261952
+    assert capacity(64, 64) == 3904
     assert capacity(8, 8) == 0
-    assert capacity(48, 48) == 128
+    assert capacity(16, 16) == 64
+    assert capacity(48, 48) == 2112
     with pytest.raises(NotBlockAligned):
         capacity(12, 8)
 
@@ -619,8 +622,10 @@ def test_verify_adjust_never_re_anchors_on_a_whole_sample_shift(monkeypatch):
     # +2 on (0,0), (0,4), (4,0) and (4,4): each step adds 1 to a quarter of
     # the samples and leaves every rounding error, so the one offender, as
     # it was.
+    # Its bits are those of the table of a version-1 frame, whose 128-bit
+    # header and 2048-bit table left 14,208 bits of a 128^2 cover.
     rng = np.random.default_rng(4028)
-    bits = frame_bits(build_frame(rng.bytes(capacity(128, 128) * 93 // 800)))
+    bits = frame_bits(build_v1_frame(rng.bytes(14208 * 93 // 800)))
     bits = bits.reshape(-1, 8, 8)[22].astype(np.int64)
     coeffs = quantize(forward_dct(partition(natural_cover(128, 128, 4028))))[22]
     coeffs = set_lsb(coeffs, bits)

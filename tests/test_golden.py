@@ -18,7 +18,7 @@ from dctsteg import (
     KIND_IMAGE, Image8, StegoContainer, build_frame, embed, extract, read_pgm, write_pgm,
 )
 from dctsteg.cli import entry
-from support import low_entropy_secret, natural_cover
+from support import build_v1_frame, low_entropy_secret, natural_cover
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -31,10 +31,29 @@ RANDOM_SECRET = np.random.default_rng(2024).integers(0, 256, 150, dtype=np.uint8
 
 
 def test_frame_bits_digests():
+    # the three small secrets are stored; the 48x40 image is coded
     frames = {
         "random": build_frame(RANDOM_SECRET),
         "image": build_frame(low_entropy_secret(12, 10).tobytes(), KIND_IMAGE, (12, 10)),
         "single": build_frame(b"z" * 9),
+        "coded": build_frame(low_entropy_secret(48, 40).tobytes(), KIND_IMAGE, (48, 40)),
+    }
+    assert [f.header.coding for f in frames.values()] == [0, 0, 0, 1]
+    digests = {name: sha256(f.data) for name, f in frames.items()}
+    assert digests == {
+        "random": "4989ceae1f7d457a59edd6d2dbdc27ca787988630a10690a6df66c4b75655e0f",
+        "image": "7901bbd4ddc08959d0e7712b503334a74a50a017dd47b2f99dbde4e176ec8046",
+        "single": "65d8e522c27c310deac34a11c75a861783a25c7db2833b73e61aec36be6586db",
+        "coded": "b22bea1952c003bf1e2ae8ca5c4e785ad83e1b5d592d463f59d83bcc7009e34b",
+    }
+
+
+def test_v1_frame_bits_digests():
+    # the version-1 frames of the first three secrets, as build_frame wrote them before version 2
+    frames = {
+        "random": build_v1_frame(RANDOM_SECRET),
+        "image": build_v1_frame(low_entropy_secret(12, 10).tobytes(), KIND_IMAGE, (12, 10)),
+        "single": build_v1_frame(b"z" * 9),
     }
     digests = {name: sha256(f.data) for name, f in frames.items()}
     assert digests == {
@@ -47,8 +66,14 @@ def test_frame_bits_digests():
 def test_container_bytes_digest():
     container, _ = embed(Image8(natural_cover(64, 64, 42)), build_frame(RANDOM_SECRET))
     assert sha256(container.to_bytes()) == (
-        "6e2d20a97b0880a07a2a699d13823cb4114bdc40b2dcc7217193cdfae4083823"
+        "b44ebca084152235054e9605290e45b08550da31b873a366e406fcfc133b01d8"
     )
+
+
+def test_v1_container_bytes_digest():
+    # the embed of the version-1 frame is the v1_container.dsc fixture
+    container, _ = embed(Image8(natural_cover(64, 64, 42)), build_v1_frame(RANDOM_SECRET))
+    assert sha256(container.to_bytes()) == V1_FIXTURES["v1_container.dsc"][0]
 
 
 def test_spatial8_pgm_digest():
@@ -57,7 +82,7 @@ def test_spatial8_pgm_digest():
     )
     assert report.residual_bit_errors == 0
     assert sha256(write_pgm(stego)) == (
-        "4680413c13786d03b442b0459b451d0e325eebbc2525600d7e9b83c2f47c3296"
+        "24ba6f1498c14eb04e84a4765762b583ec18ad73c2808a97665897822b945221"
     )
 
 
