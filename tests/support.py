@@ -8,12 +8,21 @@ meaningful.
 import heapq
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 
 from dctsteg.errors import InvalidCode, TruncatedStream
 from dctsteg.framing import KIND_BYTES, PayloadFrame, PayloadHeader
 from dctsteg.huffman import Bitstream, build_table, encode, serialize_table
+
+FIXTURES = Path(__file__).parent / "fixtures"
+# The secrets of the version-1 artifacts in FIXTURES, which an earlier embedder
+# wrote into natural_cover(64, 64, 42).
+V1_FIXTURE_SECRETS = {
+    "v1_container.dsc": np.random.default_rng(2024).integers(0, 256, 150, dtype=np.uint8).tobytes(),
+    "v1_spatial8.pgm": b"golden spatial8 secret",
+}
 
 
 def _c(k):
@@ -241,6 +250,33 @@ def low_entropy_secret(width=192, height=195):
     img = 20 + 32 * (((xx + yy) // 48) % 5)
     img = img + 3 * ((xx * 7 + yy * 13) % 97 == 0)
     return img.astype(np.uint8)
+
+
+def parse_kv(line):
+    """The key=value pairs of a line of CLI stdout."""
+    return dict(pair.split("=", 1) for pair in line.split())
+
+
+def noise_cover(width, height):
+    """width x height pixels of uniform 8-bit noise from default_rng(1)."""
+    return np.random.default_rng(1).integers(0, 256, (height, width), dtype=np.uint8)
+
+
+def random_secret(size, seed):
+    """size bytes from default_rng(seed): a secret no Huffman code shortens, so it is stored."""
+    return np.random.default_rng(seed).bytes(size)
+
+
+def striped_secret():
+    """200x120 image of six levels in runs of 1..32 pixels: Huffman codes of 1..5 bits."""
+    row = np.resize(np.repeat(np.arange(0, 240, 40, dtype=np.uint8), [1, 2, 4, 8, 16, 32]), 200)
+    return np.tile(row, (120, 1))
+
+
+def banded_secret():
+    """200x120 image of four equally common levels: the complete 2-bit code."""
+    row = np.resize(np.repeat(np.arange(0, 256, 85, dtype=np.uint8), 10), 200)
+    return np.tile(row, (120, 1))
 
 
 def fibonacci_secret(n):

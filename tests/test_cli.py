@@ -1,7 +1,5 @@
 """Command-line interface tests: stdout contracts and exit codes."""
 
-import subprocess
-import sys
 import tempfile
 from dataclasses import replace
 from contextlib import redirect_stderr, redirect_stdout
@@ -24,7 +22,7 @@ from dctsteg.errors import (
 )
 from dctsteg.framing import TABLE_BITS, PayloadFrame, PayloadHeader
 from dctsteg.huffman import build_table, decode
-from support import bitstream, build_v1_frame, fibonacci_secret, frame_bits, natural_cover
+from support import bitstream, build_v1_frame, frame_bits, natural_cover, parse_kv
 
 
 @pytest.fixture
@@ -45,10 +43,6 @@ def run_cli(capsys, *argv):
     code = entry([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def parse_kv(line):
-    return dict(pair.split("=", 1) for pair in line.split())
 
 
 def test_dsc_streamed_equals_to_bytes(capsys, tmp_path):
@@ -289,25 +283,9 @@ def test_inspect_container(capsys, tmp_path, cover_path):
     assert fields["version"] == "2"
     assert fields["coding"] == "0"  # stored: 152 bits, where the table alone is 2,048
     assert fields["symbol_count"] == "19"
-    assert int(fields["table_symbols"]) >= 10
-    assert int(fields["max_code_length"]) >= 4
-
-
-def test_codes_longer_than_the_lookup_window_round_trip(capsys, tmp_path, big_cover_path):
-    # 21 symbols with Fibonacci counts get codes of 1..20 bits: the longest
-    # five pass decode's 16-bit window and take its one-codeword walk
-    secret = tmp_path / "fibonacci.bin"
-    secret.write_bytes(fibonacci_secret(21))
-    assert len(secret.read_bytes()) == 28656
-    stego = tmp_path / "fibonacci.dsc"
-    code, _, _ = run_cli(capsys, "embed", "--cover", big_cover_path, "--secret", secret,
-                         "--out", stego)
-    assert code == 0
-    code, out, _ = run_cli(capsys, "inspect", "--in", stego)
-    assert code == 0 and out.endswith(" table_symbols=21 max_code_length=20\n")
-    recovered = tmp_path / "recovered.bin"
-    code, _, _ = run_cli(capsys, "extract", "--in", stego, "--out", recovered)
-    assert code == 0 and recovered.read_bytes() == secret.read_bytes()
+    # a stored frame's table is the implied flat code: every byte, 8 bits each
+    assert fields["table_symbols"] == "256"
+    assert fields["max_code_length"] == "8"
 
 
 def test_inspect_non_stego_exit_4(capsys, tmp_path, cover_path):
@@ -597,15 +575,6 @@ def test_v2_frame_edits_fail_the_checksum_exit_4(capsys, tmp_path, big_cover_pat
         assert code == 4 and out == ""
         assert err.startswith("error: frame CRC-32 0x") and "does not match" in err
     assert not recovered.exists()
-
-
-def test_console_script_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "dctsteg", "--help"],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0
-    assert "embed" in proc.stdout and "extract" in proc.stdout
 
 
 def test_usage_errors_repeat_when_the_parser_is_reused(capsys, cover_path):

@@ -15,7 +15,6 @@ exits 4).
 """
 
 import functools
-from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -27,16 +26,11 @@ from dctsteg import (
 )
 from dctsteg.engine import COEFF_MAX, COEFF_MIN
 from dctsteg.errors import StegError
-from support import low_entropy_secret, natural_cover
+from support import FIXTURES, V1_FIXTURE_SECRETS, low_entropy_secret, natural_cover
 
-FIXTURES = Path(__file__).parent / "fixtures"
-# the fixtures' secrets, as tests/test_golden.py lists them
 ARTIFACTS = {
-    "v1_container.dsc": (
-        StegoContainer.from_bytes,
-        np.random.default_rng(2024).integers(0, 256, 150, dtype=np.uint8).tobytes(),
-    ),
-    "v1_spatial8.pgm": (read_pgm, b"golden spatial8 secret"),
+    "v1_container.dsc": (StegoContainer.from_bytes, V1_FIXTURE_SECRETS["v1_container.dsc"]),
+    "v1_spatial8.pgm": (read_pgm, V1_FIXTURE_SECRETS["v1_spatial8.pgm"]),
 }
 _HEADER_BYTES = 16  # covers the 8-byte .dsc header and the 13-byte PGM header
 
